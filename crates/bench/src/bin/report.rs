@@ -1,17 +1,18 @@
 //! Prints the full evaluation report: every table, figure and §3
 //! criterion of the paper, regenerated from the reproduction.
 //!
-//! Usage: `cargo run -p bench --bin report [e1|...|e18|verdicts|--json]
+//! Usage: `cargo run -p bench --bin report [e1|...|e19|verdicts|--json]
 //! [--seed <u64>]`
 //!
 //! `--json` reruns the E9 tick sweep, the E10 throughput workload, the
 //! E12 session benchmark, the E13 publish sweep, the E14 shard
 //! scaling sweep, the E15 durability sweep, the E16 wire-protocol
-//! flood, the E17 history-layer sweep and the E18 compiled-script
-//! benchmark, and writes the machine-readable `BENCH_E9.json` /
+//! flood, the E17 history-layer sweep, the E18 compiled-script
+//! benchmark and the E19 retention sweep, and writes the
+//! machine-readable `BENCH_E9.json` /
 //! `BENCH_E10.json` / `BENCH_E12.json` / `BENCH_E13.json` /
 //! `BENCH_E14.json` / `BENCH_E15.json` / `BENCH_E16.json` /
-//! `BENCH_E17.json` / `BENCH_E18.json` files at
+//! `BENCH_E17.json` / `BENCH_E18.json` / `BENCH_E19.json` files at
 //! the repository root, seeding the performance trajectory.
 //! `--seed` changes the SplitMix64 seed of the random-logic workload
 //! generators (default 42, the golden-value seed); the seed used is
@@ -21,8 +22,8 @@ use std::env;
 
 use bench::{
     e10_throughput, e11_faults, e12_sessions, e13_publish, e14_shards, e15_durability, e16_net,
-    e17_history, e18_fml, e1_mapping, e2_e3_schemas, e4_concurrency, e5_consistency, e6_hierarchy,
-    e7_ui, e8_flow, e9_performance,
+    e17_history, e18_fml, e19_retention, e1_mapping, e2_e3_schemas, e4_concurrency, e5_consistency,
+    e6_hierarchy, e7_ui, e8_flow, e9_performance,
 };
 
 /// Evaluates every paper claim against a fresh measured run and prints
@@ -274,6 +275,18 @@ fn print_verdicts() {
             } else {
                 "diverge"
             }
+        ),
+    });
+
+    let e19 = e19_retention::run();
+    rows.push(Row {
+        exp: "E19",
+        claim: "retained history costs each write what it touched, not the hub it joined",
+        holds: e19.holds(),
+        measured: format!(
+            "create-cell-version p50 grew {:.2}x over {:.0}x objects",
+            e19.p50_growth(),
+            e19.size_growth()
         ),
     });
 
@@ -587,6 +600,31 @@ fn write_json_reports(seed: u64) -> std::io::Result<()> {
     let e18_path = format!("{root}/BENCH_E18.json");
     std::fs::write(&e18_path, e18)?;
     println!("wrote {e18_path}");
+
+    let r = e19_retention::run();
+    println!("{r}");
+    let mut e19 = format!("{{\"seed\": {seed}, \"rows\": [\n");
+    for (i, row) in r.rows.iter().enumerate() {
+        e19.push_str(&format!(
+            "  {{\"objects\": {}, \"hub_members\": {}, \"cv_p50_ns\": {}, \"cv_p99_ns\": {}, \"samples\": {}, \"retained\": {}}}{}\n",
+            row.objects,
+            row.hub_members,
+            row.cv_p50_ns,
+            row.cv_p99_ns,
+            row.samples,
+            row.retained,
+            if i + 1 == r.rows.len() { "" } else { "," }
+        ));
+    }
+    e19.push_str(&format!(
+        "],\n\"p50_growth\": {:.2}, \"size_growth\": {:.2}, \"holds\": {}}}\n",
+        r.p50_growth(),
+        r.size_growth(),
+        r.holds()
+    ));
+    let e19_path = format!("{root}/BENCH_E19.json");
+    std::fs::write(&e19_path, e19)?;
+    println!("wrote {e19_path}");
     Ok(())
 }
 
@@ -703,9 +741,13 @@ fn main() {
         println!("{}", e18_fml::run(seed));
         printed = true;
     }
+    if want("e19") {
+        println!("{}", e19_retention::run());
+        printed = true;
+    }
 
     if !printed {
-        eprintln!("unknown experiment filter; use e1..e18 or no argument for all");
+        eprintln!("unknown experiment filter; use e1..e19 or no argument for all");
         std::process::exit(2);
     }
 }

@@ -22,6 +22,7 @@
 //! | [`e16_net`] | wire-protocol front-end under 1000 concurrent TCP clients |
 //! | [`e17_history`] | time-travel history layer: retained snapshots, merges |
 //! | [`e18_fml`] | compiled extension-language fast path (bytecode VM vs tree-walker) |
+//! | [`e19_retention`] | O(Δ) history retention: write cost under retained snapshots |
 //!
 //! The `report` binary prints every experiment
 //! (`cargo run -p bench --bin report`); the Criterion benches in
@@ -39,6 +40,7 @@ pub mod e15_durability;
 pub mod e16_net;
 pub mod e17_history;
 pub mod e18_fml;
+pub mod e19_retention;
 pub mod e1_mapping;
 pub mod e2_e3_schemas;
 pub mod e4_concurrency;

@@ -288,6 +288,25 @@ pub(crate) fn call_builtin<A: Applier + ?Sized>(
     }
 }
 
+/// Integer division. Like `+ - *` it wraps on overflow, so
+/// `(/ i64::MIN -1)` is `i64::MIN`; only a zero divisor is an error.
+/// The one definition both engines use.
+pub(crate) fn int_div(x: i64, y: i64) -> FmlResult<i64> {
+    if y == 0 {
+        return Err(FmlError::DivisionByZero);
+    }
+    Ok(x.wrapping_div(y))
+}
+
+/// Euclidean remainder (never negative), wrapping on overflow like
+/// [`int_div`]: `(mod i64::MIN -1)` is 0.
+pub(crate) fn int_mod(x: i64, y: i64) -> FmlResult<i64> {
+    if y == 0 {
+        return Err(FmlError::DivisionByZero);
+    }
+    Ok(x.wrapping_rem_euclid(y))
+}
+
 fn numeric(op: &str, args: Vec<Value>) -> FmlResult<Value> {
     let mut nums = Vec::with_capacity(args.len());
     for a in &args {
@@ -316,24 +335,12 @@ fn numeric(op: &str, args: Vec<Value>) -> FmlResult<Value> {
                 rest.iter().fold(first, |a, b| a.wrapping_sub(*b))
             }
         }
-        "/" => {
-            let mut acc = first;
-            for b in rest {
-                if *b == 0 {
-                    return Err(FmlError::DivisionByZero);
-                }
-                acc /= b;
-            }
-            acc
-        }
+        "/" => rest.iter().try_fold(first, |a, b| int_div(a, *b))?,
         "mod" => {
             if rest.len() != 1 {
                 return Err(arity("mod", "2", nums.len()));
             }
-            if rest[0] == 0 {
-                return Err(FmlError::DivisionByZero);
-            }
-            first.rem_euclid(rest[0])
+            int_mod(first, rest[0])?
         }
         "min" => nums.iter().copied().min().expect("non-empty"),
         "max" => nums.iter().copied().max().expect("non-empty"),

@@ -823,8 +823,18 @@ impl<'g> Compiler<'g> {
                     self.cur().set_ready(slot);
                     slots.push(slot);
                 }
+                // Bind from the last initialiser back; a name bound
+                // twice keeps its last value (as in the tree-walker),
+                // so earlier values for an already-bound slot are
+                // dropped.
+                let mut bound = Vec::with_capacity(slots.len());
                 for slot in slots.into_iter().rev() {
-                    self.cur().emit(Instr::BindLocal(slot));
+                    if bound.contains(&slot) {
+                        self.cur().emit(Instr::Pop);
+                    } else {
+                        bound.push(slot);
+                        self.cur().emit(Instr::BindLocal(slot));
+                    }
                 }
                 self.sequence(&items[2..])?;
                 let f = self.cur();

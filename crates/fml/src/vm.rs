@@ -381,18 +381,8 @@ impl<'a> Machine<'a> {
                                     FastOp::Add => Value::Int(x.wrapping_add(y)),
                                     FastOp::Sub => Value::Int(x.wrapping_sub(y)),
                                     FastOp::Mul => Value::Int(x.wrapping_mul(y)),
-                                    FastOp::Div => {
-                                        if y == 0 {
-                                            return Err(FmlError::DivisionByZero);
-                                        }
-                                        Value::Int(x / y)
-                                    }
-                                    FastOp::Mod => {
-                                        if y == 0 {
-                                            return Err(FmlError::DivisionByZero);
-                                        }
-                                        Value::Int(x.rem_euclid(y))
-                                    }
+                                    FastOp::Div => Value::Int(builtins::int_div(x, y)?),
+                                    FastOp::Mod => Value::Int(builtins::int_mod(x, y)?),
                                     FastOp::Lt => Value::Bool(x < y),
                                     FastOp::Le => Value::Bool(x <= y),
                                     FastOp::Gt => Value::Bool(x > y),

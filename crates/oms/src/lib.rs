@@ -52,6 +52,7 @@
 
 mod error;
 pub mod graph;
+mod linkset;
 pub mod persist;
 pub mod pmap;
 mod schema;

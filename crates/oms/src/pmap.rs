@@ -6,19 +6,34 @@
 //! the root and the touched key (via [`Arc::make_mut`]), leaving all
 //! other nodes shared with previously taken clones. A snapshot of a
 //! 50k-object database therefore costs O(1) to take and each write
-//! after it costs O(depth) node copies, not O(database).
+//! after it costs O(height) node copies, not O(database).
 //!
-//! The layout is a fixed-depth radix trie over the eight big-endian
-//! bytes of the key: inner nodes hold a sorted, binary-searched vector
-//! of `(byte, child)` entries, leaves sit at depth 8 and hold the
-//! values. Because the byte order of an unsigned integer is its
+//! The layout is a radix trie over 5-bit digits of the key: every node
+//! has 32 child positions, stored compressed as a `u32` occupancy
+//! bitmap plus one `Arc`'d array of the occupied entries (an entry's
+//! index is the popcount of the bitmap bits below its digit). A node's
+//! header — bitmap and array handle — sits inline in its parent's
+//! array, so each level costs one pointer chase, and bottom nodes hold
+//! their values packed side by side. The trie's **height adapts to
+//! the largest key ever inserted**: a map whose keys stay below 32^h is
+//! h levels deep (three levels cover ids up to 32 767, four up to ~1M,
+//! thirteen every `u64`). Inserting a key beyond the current reach
+//! grows the trie at the top — the old root becomes child 0 of a new
+//! root, still shared with any clone — so small maps and dense id
+//! ranges never pay for the full 64-bit key width. Heights only grow;
+//! removals prune empty nodes on the way back up.
+//!
+//! A write under a retained clone therefore copies at most `height`
+//! arrays of at most 32 entries each (handles and values, never
+//! subtrees). An entry added to or removed from a node rebuilds that
+//! node's array; replacing a value in an unshared node writes in
+//! place. Because the digit order of an unsigned integer is its
 //! numeric order, in-order traversal yields keys ascending — the same
 //! order a `BTreeMap` would give — which is what keeps the persisted
 //! image format byte-identical to the pre-persistent store.
 //!
-//! No balancing is ever needed (the depth is fixed), removals prune
-//! empty nodes on the way back up, and the structure is hand-rolled on
-//! `std` only — no external persistent-collection crates.
+//! The structure is hand-rolled on `std` only — no external
+//! persistent-collection crates.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -46,44 +61,152 @@ impl PmapKey for u64 {
     }
 }
 
-/// Trie depth: one level per big-endian byte of the `u64` key.
-const DEPTH: u32 = 8;
+/// Key bits consumed per trie level (32-wide nodes).
+const BITS: u32 = 5;
+/// Height that reaches every `u64` key (13 × 5 = 65 ≥ 64 bits).
+const MAX_HEIGHT: u32 = 13;
 
-fn byte_at(bits: u64, depth: u32) -> u8 {
-    (bits >> (8 * (DEPTH - 1 - depth))) as u8
+/// The smallest height (≥ 1) whose levels reach `bits`.
+fn height_for(bits: u64) -> u32 {
+    (u64::BITS - bits.leading_zeros()).div_ceil(BITS).max(1)
 }
 
-#[derive(Clone)]
-enum Slot<V> {
-    /// An interior node (depths 0..7).
-    Inner(Arc<Node<V>>),
-    /// A value leaf (depth 7 only).
-    Leaf(V),
+/// Returns `true` if a trie of `height` levels reaches `bits`.
+fn reaches(height: u32, bits: u64) -> bool {
+    height >= MAX_HEIGHT || bits >> (BITS * height) == 0
 }
 
-#[derive(Clone)]
-struct Node<V> {
-    /// Sorted by byte; binary-searched on lookup.
-    entries: Vec<(u8, Slot<V>)>,
+/// The child digit of `bits` in a node `level` levels above the bottom
+/// (level 0 holds the values).
+fn digit(bits: u64, level: u32) -> u32 {
+    ((bits >> (BITS * level)) & 31) as u32
+}
+
+/// `Ok(index)` of digit `d` in a node's packed array, or `Err(index)`
+/// where it would be inserted: the popcount of the lower bits.
+fn position(bitmap: u32, d: u32) -> Result<usize, usize> {
+    let bit = 1u32 << d;
+    let index = (bitmap & (bit - 1)).count_ones() as usize;
+    if bitmap & bit != 0 {
+        Ok(index)
+    } else {
+        Err(index)
+    }
+}
+
+/// A copy of `items` with `item` inserted at `index`.
+fn inserted<T: Clone>(items: &[T], index: usize, item: T) -> Arc<[T]> {
+    items[..index]
+        .iter()
+        .cloned()
+        .chain(std::iter::once(item))
+        .chain(items[index..].iter().cloned())
+        .collect()
+}
+
+/// A copy of `items` without the entry at `index`.
+fn removed<T: Clone>(items: &[T], index: usize) -> Arc<[T]> {
+    items[..index]
+        .iter()
+        .chain(&items[index + 1..])
+        .cloned()
+        .collect()
+}
+
+/// A trie node. Its header (occupancy bitmap and array handle) lives
+/// inline in the parent's array, so descending one level costs one
+/// pointer chase. Nodes at level 0 are `Bottom`, all others `Inner`.
+enum Node<V> {
+    /// Child nodes, one per set bit of `bitmap`, in digit order.
+    Inner {
+        bitmap: u32,
+        children: Arc<[Node<V>]>,
+    },
+    /// Values, one per set bit of `bitmap`, in digit order.
+    Bottom { bitmap: u32, values: Arc<[V]> },
+}
+
+impl<V> Clone for Node<V> {
+    /// Copies the header and bumps the array's reference count.
+    fn clone(&self) -> Self {
+        match self {
+            Node::Inner { bitmap, children } => Node::Inner {
+                bitmap: *bitmap,
+                children: Arc::clone(children),
+            },
+            Node::Bottom { bitmap, values } => Node::Bottom {
+                bitmap: *bitmap,
+                values: Arc::clone(values),
+            },
+        }
+    }
 }
 
 impl<V> Node<V> {
-    fn empty() -> Self {
-        Node {
-            entries: Vec::new(),
+    /// An empty node for `level`.
+    fn empty(level: u32) -> Self {
+        if level == 0 {
+            Node::Bottom {
+                bitmap: 0,
+                values: Arc::new([]),
+            }
+        } else {
+            Node::Inner {
+                bitmap: 0,
+                children: Arc::new([]),
+            }
         }
     }
 
-    fn position(&self, byte: u8) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&byte, |e| e.0)
+    fn bitmap(&self) -> u32 {
+        match self {
+            Node::Inner { bitmap, .. } | Node::Bottom { bitmap, .. } => *bitmap,
+        }
+    }
+
+    /// Returns `true` if both are the same allocation — an untouched
+    /// subtree shared between two maps.
+    fn same(&self, other: &Node<V>) -> bool {
+        match (self, other) {
+            (Node::Inner { children: a, .. }, Node::Inner { children: b, .. }) => Arc::ptr_eq(a, b),
+            (Node::Bottom { values: a, .. }, Node::Bottom { values: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// The child at digit 0 of an inner node.
+    fn low_child(&self) -> Option<&Node<V>> {
+        match self {
+            Node::Inner { bitmap, children } if bitmap & 1 != 0 => Some(&children[0]),
+            _ => None,
+        }
     }
 }
 
-/// A persistent ordered map: O(1) clone, O(log n)-ish path-copying
+/// A single-path node at `level` holding `value` under `bits`.
+fn spine<V>(bits: u64, level: u32, value: V) -> Node<V> {
+    let mut node = Node::Bottom {
+        bitmap: 1 << digit(bits, 0),
+        values: Arc::new([value]),
+    };
+    for l in 1..=level {
+        node = Node::Inner {
+            bitmap: 1 << digit(bits, l),
+            children: Arc::new([node]),
+        };
+    }
+    node
+}
+
+/// A persistent ordered map: O(1) clone, O(height) path-copying
 /// writes, ordered iteration. See the [module docs](self) for the
 /// design rationale.
 pub struct PMap<K, V> {
+    /// Behind an `Arc` of its own so that cloning the map is one
+    /// reference-count bump with no branch on the node kind.
     root: Arc<Node<V>>,
+    /// Levels from the root down to the values, ≥ 1.
+    height: u32,
     len: usize,
     _key: PhantomData<K>,
 }
@@ -94,6 +217,7 @@ impl<K, V> Clone for PMap<K, V> {
     fn clone(&self) -> Self {
         PMap {
             root: Arc::clone(&self.root),
+            height: self.height,
             len: self.len,
             _key: PhantomData,
         }
@@ -110,7 +234,8 @@ impl<K, V> PMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         PMap {
-            root: Arc::new(Node::empty()),
+            root: Arc::new(Node::empty(0)),
+            height: 1,
             len: 0,
             _key: PhantomData,
         }
@@ -130,7 +255,23 @@ impl<K, V> PMap<K, V> {
     /// i.e. one is an untouched clone of the other. Diagnostic hook
     /// for structural-sharing tests.
     pub fn root_shared_with(&self, other: &PMap<K, V>) -> bool {
-        Arc::ptr_eq(&self.root, &other.root)
+        self.root.same(&other.root)
+    }
+
+    /// Raises the trie to `height` levels: each step makes the current
+    /// root child 0 of a new root, so existing nodes stay shared.
+    fn grow_to(&mut self, height: u32) {
+        while self.height < height {
+            self.root = Arc::new(if self.root.bitmap() == 0 {
+                Node::empty(self.height)
+            } else {
+                Node::Inner {
+                    bitmap: 1,
+                    children: Arc::new([Node::clone(&self.root)]),
+                }
+            });
+            self.height += 1;
+        }
     }
 }
 
@@ -138,15 +279,22 @@ impl<K: PmapKey, V> PMap<K, V> {
     /// Looks up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
         let bits = key.to_bits();
-        let mut node = &*self.root;
-        for depth in 0..DEPTH {
-            let idx = node.position(byte_at(bits, depth)).ok()?;
-            match &node.entries[idx].1 {
-                Slot::Inner(child) => node = child,
-                Slot::Leaf(value) => return Some(value),
+        if !reaches(self.height, bits) {
+            return None;
+        }
+        let mut node: &Node<V> = &self.root;
+        let mut level = self.height - 1;
+        loop {
+            match node {
+                Node::Inner { bitmap, children } => {
+                    node = &children[position(*bitmap, digit(bits, level)).ok()?];
+                    level -= 1;
+                }
+                Node::Bottom { bitmap, values } => {
+                    return Some(&values[position(*bitmap, digit(bits, 0)).ok()?]);
+                }
             }
         }
-        None
     }
 
     /// Returns `true` if `key` is present.
@@ -156,10 +304,7 @@ impl<K: PmapKey, V> PMap<K, V> {
 
     /// Iterates entries in ascending key order.
     pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter {
-            stack: vec![(self.root.entries.iter(), 0)],
-            _key: PhantomData,
-        }
+        Iter::new(&self.root)
     }
 
     /// Iterates keys in ascending order.
@@ -178,7 +323,9 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
     /// the nodes on the root→key path are copied; every untouched
     /// subtree stays shared with older clones.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let old = insert_at(Arc::make_mut(&mut self.root), key.to_bits(), 0, value);
+        let bits = key.to_bits();
+        self.grow_to(height_for(bits));
+        let old = insert_at(Arc::make_mut(&mut self.root), bits, self.height - 1, value);
         if old.is_none() {
             self.len += 1;
         }
@@ -186,9 +333,17 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
     }
 
     /// Removes a key, returning its value if present. Nodes left empty
-    /// by the removal are pruned on the way back up.
+    /// by the removal are pruned on the way back up; removing an
+    /// absent key copies nothing.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let old = remove_at(Arc::make_mut(&mut self.root), key.to_bits(), 0);
+        if !self.contains_key(key) {
+            return None;
+        }
+        let old = remove_at(
+            Arc::make_mut(&mut self.root),
+            key.to_bits(),
+            self.height - 1,
+        );
         if old.is_some() {
             self.len -= 1;
         }
@@ -199,7 +354,11 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
     /// the key even if the caller ends up not writing, so it belongs on
     /// mutation paths only.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        get_mut_at(Arc::make_mut(&mut self.root), key.to_bits(), 0)
+        let bits = key.to_bits();
+        if !reaches(self.height, bits) {
+            return None;
+        }
+        get_mut_at(Arc::make_mut(&mut self.root), bits, self.height - 1)
     }
 
     /// Mutable access to the value under `key`, inserting
@@ -213,53 +372,67 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
     }
 }
 
-fn insert_at<V: Clone>(node: &mut Node<V>, bits: u64, depth: u32, value: V) -> Option<V> {
-    let byte = byte_at(bits, depth);
-    match node.position(byte) {
-        Ok(idx) => match &mut node.entries[idx].1 {
-            Slot::Leaf(old) => Some(std::mem::replace(old, value)),
-            Slot::Inner(child) => insert_at(Arc::make_mut(child), bits, depth + 1, value),
-        },
-        Err(idx) => {
-            // Build the missing single-entry spine down to the leaf.
-            let mut slot = Slot::Leaf(value);
-            for d in (depth + 1..DEPTH).rev() {
-                slot = Slot::Inner(Arc::new(Node {
-                    entries: vec![(byte_at(bits, d), slot)],
-                }));
+fn insert_at<V: Clone>(node: &mut Node<V>, bits: u64, level: u32, value: V) -> Option<V> {
+    match node {
+        Node::Bottom { bitmap, values } => {
+            let d = digit(bits, 0);
+            match position(*bitmap, d) {
+                Ok(i) => Some(std::mem::replace(&mut Arc::make_mut(values)[i], value)),
+                Err(i) => {
+                    *values = inserted(values, i, value);
+                    *bitmap |= 1 << d;
+                    None
+                }
             }
-            node.entries.insert(idx, (byte, slot));
-            None
+        }
+        Node::Inner { bitmap, children } => {
+            let d = digit(bits, level);
+            match position(*bitmap, d) {
+                Ok(i) => insert_at(&mut Arc::make_mut(children)[i], bits, level - 1, value),
+                Err(i) => {
+                    *children = inserted(children, i, spine(bits, level - 1, value));
+                    *bitmap |= 1 << d;
+                    None
+                }
+            }
         }
     }
 }
 
-fn remove_at<V: Clone>(node: &mut Node<V>, bits: u64, depth: u32) -> Option<V> {
-    let idx = node.position(byte_at(bits, depth)).ok()?;
-    match &mut node.entries[idx].1 {
-        Slot::Leaf(_) => {
-            if let (_, Slot::Leaf(value)) = node.entries.remove(idx) {
-                Some(value)
-            } else {
-                None
-            }
+fn remove_at<V: Clone>(node: &mut Node<V>, bits: u64, level: u32) -> Option<V> {
+    match node {
+        Node::Bottom { bitmap, values } => {
+            let d = digit(bits, 0);
+            let i = position(*bitmap, d).ok()?;
+            let value = values[i].clone();
+            *values = removed(values, i);
+            *bitmap &= !(1 << d);
+            Some(value)
         }
-        Slot::Inner(child) => {
-            let child = Arc::make_mut(child);
-            let removed = remove_at(child, bits, depth + 1)?;
-            if child.entries.is_empty() {
-                node.entries.remove(idx);
+        Node::Inner { bitmap, children } => {
+            let d = digit(bits, level);
+            let i = position(*bitmap, d).ok()?;
+            let child = &mut Arc::make_mut(children)[i];
+            let value = remove_at(child, bits, level - 1)?;
+            if child.bitmap() == 0 {
+                *children = removed(children, i);
+                *bitmap &= !(1 << d);
             }
-            Some(removed)
+            Some(value)
         }
     }
 }
 
-fn get_mut_at<V: Clone>(node: &mut Node<V>, bits: u64, depth: u32) -> Option<&mut V> {
-    let idx = node.position(byte_at(bits, depth)).ok()?;
-    match &mut node.entries[idx].1 {
-        Slot::Leaf(value) => Some(value),
-        Slot::Inner(child) => get_mut_at(Arc::make_mut(child), bits, depth + 1),
+fn get_mut_at<V: Clone>(node: &mut Node<V>, bits: u64, level: u32) -> Option<&mut V> {
+    match node {
+        Node::Bottom { bitmap, values } => {
+            let i = position(*bitmap, digit(bits, 0)).ok()?;
+            Some(&mut Arc::make_mut(values)[i])
+        }
+        Node::Inner { bitmap, children } => {
+            let i = position(*bitmap, digit(bits, level)).ok()?;
+            get_mut_at(&mut Arc::make_mut(children)[i], bits, level - 1)
+        }
     }
 }
 
@@ -293,19 +466,26 @@ impl<K: PmapKey, V: Clone + PartialEq> PMap<K, V> {
     /// The walk descends both tries in lockstep and **skips every
     /// subtree whose root [`Arc`] is shared between the two maps**
     /// (pointer equality), so when `target` is an evolved clone of
-    /// `self` the cost is O(changes · depth), not O(map). Two
+    /// `self` the cost is O(changes · height), not O(map). Two
     /// untouched clones diff to an empty vector in O(1) — the root
-    /// pointers are equal. Records come out in ascending key order,
-    /// which is what lets the persisted delta format stay canonical.
+    /// pointers are equal. Maps of different heights diff correctly
+    /// too: the shorter map lines up with child 0 of the taller one's
+    /// top levels, which is exactly where growth left the old root, so
+    /// a clone that grew still skips every subtree it shares. Records
+    /// come out in ascending key order, which is what lets the
+    /// persisted delta format stay canonical.
     ///
     /// Value comparison is by `PartialEq`; an entry whose value was
     /// rewritten to an equal value is *not* reported.
     pub fn diff(&self, target: &PMap<K, V>) -> Vec<DiffEntry<K, V>> {
-        if Arc::ptr_eq(&self.root, &target.root) {
-            return Vec::new();
-        }
         let mut out = Vec::new();
-        diff_nodes(&self.root, &target.root, 0, &mut out);
+        diff_roots(
+            &self.root,
+            self.height,
+            &target.root,
+            target.height,
+            &mut out,
+        );
         out
     }
 
@@ -327,115 +507,244 @@ impl<K: PmapKey, V: Clone + PartialEq> PMap<K, V> {
     }
 }
 
-/// Merge-walks two sibling nodes at the same depth. `prefix` holds the
-/// key bits accumulated above this level; entry vectors are sorted, so
-/// a classic two-pointer merge emits records in ascending key order.
+/// Diffs two roots of possibly different heights. While the heights
+/// differ, the taller side's child 0 spans the shorter side's whole
+/// key range (and the accumulated key prefix stays 0), so the walk
+/// descends that child and reports every other child of the taller
+/// side as wholly added or removed — after child 0, keeping the
+/// output ascending.
+fn diff_roots<K: PmapKey, V: Clone + PartialEq>(
+    base: &Node<V>,
+    base_height: u32,
+    target: &Node<V>,
+    target_height: u32,
+    out: &mut Vec<DiffEntry<K, V>>,
+) {
+    if base_height == target_height {
+        diff_nodes(base, target, 0, out);
+        return;
+    }
+    let base_taller = base_height > target_height;
+    let tall = if base_taller { base } else { target };
+    match tall.low_child() {
+        Some(low) if base_taller => diff_roots(low, base_height - 1, target, target_height, out),
+        Some(low) => diff_roots(base, base_height, low, target_height - 1, out),
+        None if base_taller => emit_node(target, 0, out, added),
+        None => emit_node(base, 0, out, removed_entry),
+    }
+    if let Node::Inner { bitmap, children } = tall {
+        let rest = Digits(*bitmap)
+            .zip(children.iter())
+            .filter(|(d, _)| *d != 0);
+        for (d, child) in rest {
+            if base_taller {
+                emit_node(child, u64::from(d), out, removed_entry);
+            } else {
+                emit_node(child, u64::from(d), out, added);
+            }
+        }
+    }
+}
+
+/// Merge-walks two sibling nodes at the same level. `prefix` holds the
+/// key bits accumulated above them; digits are visited in ascending
+/// order, so records come out in ascending key order.
 fn diff_nodes<K: PmapKey, V: Clone + PartialEq>(
     base: &Node<V>,
     target: &Node<V>,
     prefix: u64,
     out: &mut Vec<DiffEntry<K, V>>,
 ) {
-    let (mut i, mut j) = (0, 0);
-    while i < base.entries.len() || j < target.entries.len() {
-        match (base.entries.get(i), target.entries.get(j)) {
-            (Some((ab, aslot)), Some((bb, bslot))) if ab == bb => {
-                let bits = (prefix << 8) | u64::from(*ab);
-                match (aslot, bslot) {
-                    // The load-bearing case: an untouched subtree is
-                    // the *same allocation* in both maps — skip it
-                    // without descending.
-                    (Slot::Inner(x), Slot::Inner(y)) => {
-                        if !Arc::ptr_eq(x, y) {
-                            diff_nodes(x, y, bits, out);
-                        }
-                    }
-                    (Slot::Leaf(va), Slot::Leaf(vb)) => {
-                        if va != vb {
-                            out.push(DiffEntry::Updated(K::from_bits(bits), vb.clone()));
-                        }
-                    }
-                    // Leaves sit at depth 7 and inner nodes above, so a
-                    // mixed pair cannot arise from map operations; stay
-                    // total anyway by treating it as replace-subtree.
-                    (a, b) => {
-                        emit_removed(a, bits, out);
-                        emit_added(b, bits, out);
-                    }
+    // The load-bearing case: an untouched subtree is the *same
+    // allocation* in both maps — skip it without descending.
+    if base.same(target) {
+        return;
+    }
+    match (base, target) {
+        (
+            Node::Inner {
+                bitmap: ba,
+                children: ca,
+            },
+            Node::Inner {
+                bitmap: bb,
+                children: cb,
+            },
+        ) => {
+            for d in Digits(ba | bb) {
+                let bits = (prefix << BITS) | u64::from(d);
+                match (position(*ba, d), position(*bb, d)) {
+                    (Ok(i), Ok(j)) => diff_nodes(&ca[i], &cb[j], bits, out),
+                    (Ok(i), Err(_)) => emit_node(&ca[i], bits, out, removed_entry),
+                    (Err(_), Ok(j)) => emit_node(&cb[j], bits, out, added),
+                    (Err(_), Err(_)) => unreachable!("digit from the union"),
                 }
-                i += 1;
-                j += 1;
             }
-            (Some((ab, aslot)), Some((bb, _))) if ab < bb => {
-                emit_removed(aslot, (prefix << 8) | u64::from(*ab), out);
-                i += 1;
+        }
+        (
+            Node::Bottom {
+                bitmap: ba,
+                values: va,
+            },
+            Node::Bottom {
+                bitmap: bb,
+                values: vb,
+            },
+        ) => {
+            for d in Digits(ba | bb) {
+                let key = K::from_bits((prefix << BITS) | u64::from(d));
+                match (position(*ba, d), position(*bb, d)) {
+                    (Ok(i), Ok(j)) => {
+                        if va[i] != vb[j] {
+                            out.push(DiffEntry::Updated(key, vb[j].clone()));
+                        }
+                    }
+                    (Ok(_), Err(_)) => out.push(DiffEntry::Removed(key)),
+                    (Err(_), Ok(j)) => out.push(DiffEntry::Added(key, vb[j].clone())),
+                    (Err(_), Err(_)) => unreachable!("digit from the union"),
+                }
             }
-            (Some((ab, aslot)), None) => {
-                emit_removed(aslot, (prefix << 8) | u64::from(*ab), out);
-                i += 1;
-            }
-            (_, Some((bb, bslot))) => {
-                emit_added(bslot, (prefix << 8) | u64::from(*bb), out);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
+        }
+        // Nodes of one level share a kind, so a mixed pair cannot arise
+        // from map operations; stay total anyway by replacing the
+        // subtree.
+        _ => {
+            emit_node(base, prefix, out, removed_entry);
+            emit_node(target, prefix, out, added);
         }
     }
 }
 
-/// Emits [`DiffEntry::Added`] for every leaf under `slot`.
-fn emit_added<K: PmapKey, V: Clone>(slot: &Slot<V>, bits: u64, out: &mut Vec<DiffEntry<K, V>>) {
-    match slot {
-        Slot::Leaf(v) => out.push(DiffEntry::Added(K::from_bits(bits), v.clone())),
-        Slot::Inner(child) => {
-            for (byte, s) in &child.entries {
-                emit_added(s, (bits << 8) | u64::from(*byte), out);
+fn added<K, V: Clone>(key: K, value: &V) -> DiffEntry<K, V> {
+    DiffEntry::Added(key, value.clone())
+}
+
+fn removed_entry<K, V>(key: K, _: &V) -> DiffEntry<K, V> {
+    DiffEntry::Removed(key)
+}
+
+/// Emits `record(key, value)` for every value under `node`, whose
+/// parents' digits are `prefix`.
+fn emit_node<K: PmapKey, V>(
+    node: &Node<V>,
+    prefix: u64,
+    out: &mut Vec<DiffEntry<K, V>>,
+    record: fn(K, &V) -> DiffEntry<K, V>,
+) {
+    match node {
+        Node::Inner { bitmap, children } => {
+            for (d, child) in Digits(*bitmap).zip(children.iter()) {
+                emit_node(child, (prefix << BITS) | u64::from(d), out, record);
+            }
+        }
+        Node::Bottom { bitmap, values } => {
+            for (d, v) in Digits(*bitmap).zip(values.iter()) {
+                out.push(record(K::from_bits((prefix << BITS) | u64::from(d)), v));
             }
         }
     }
 }
 
-/// Emits [`DiffEntry::Removed`] for every leaf under `slot`.
-fn emit_removed<K: PmapKey, V>(slot: &Slot<V>, bits: u64, out: &mut Vec<DiffEntry<K, V>>) {
-    match slot {
-        Slot::Leaf(_) => out.push(DiffEntry::Removed(K::from_bits(bits))),
-        Slot::Inner(child) => {
-            for (byte, s) in &child.entries {
-                emit_removed(s, (bits << 8) | u64::from(*byte), out);
-            }
+/// The set bits of an occupancy bitmap, ascending.
+struct Digits(u32);
+
+impl Iterator for Digits {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.0 == 0 {
+            return None;
         }
+        let d = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(d)
     }
 }
 
-/// One level of the depth-first walk: the remaining entries plus the
-/// key bits accumulated above that level.
-type IterFrame<'a, V> = (std::slice::Iter<'a, (u8, Slot<V>)>, u64);
+/// A node's remaining entries during the walk, with the digits they
+/// sit at and the key bits accumulated above the node.
+struct Cursor<'a, T> {
+    items: std::slice::Iter<'a, T>,
+    digits: Digits,
+    prefix: u64,
+}
+
+impl<'a, T> Cursor<'a, T> {
+    fn new(bitmap: u32, items: &'a [T], prefix: u64) -> Self {
+        Cursor {
+            items: items.iter(),
+            digits: Digits(bitmap),
+            prefix,
+        }
+    }
+
+    /// The next entry and its key bits.
+    #[inline]
+    fn next(&mut self) -> Option<(u64, &'a T)> {
+        let item = self.items.next()?;
+        let d = self.digits.next()?;
+        Some(((self.prefix << BITS) | u64::from(d), item))
+    }
+}
 
 /// Ordered iterator over a [`PMap`], yielding `(key, &value)`.
 pub struct Iter<'a, K, V> {
-    stack: Vec<IterFrame<'a, V>>,
+    /// The bottom node being walked: the hot loop stays here.
+    values: Cursor<'a, V>,
+    /// The inner nodes above it, root first.
+    stack: Vec<Cursor<'a, Node<V>>>,
     _key: PhantomData<K>,
+}
+
+impl<'a, K, V> Iter<'a, K, V> {
+    fn new(root: &'a Node<V>) -> Self {
+        let mut iter = Iter {
+            values: Cursor::new(0, &[], 0),
+            stack: Vec::new(),
+            _key: PhantomData,
+        };
+        iter.enter(root, 0);
+        iter
+    }
+
+    fn enter(&mut self, node: &'a Node<V>, prefix: u64) {
+        match node {
+            Node::Inner { bitmap, children } => {
+                self.stack.push(Cursor::new(*bitmap, children, prefix))
+            }
+            Node::Bottom { bitmap, values } => self.values = Cursor::new(*bitmap, values, prefix),
+        }
+    }
+}
+
+impl<'a, K: PmapKey, V> Iter<'a, K, V> {
+    /// The slow path of [`Iterator::next`]: the bottom node is
+    /// exhausted, so walk the inner nodes to the next one.
+    #[inline(never)]
+    fn next_bottom(&mut self) -> Option<(K, &'a V)> {
+        loop {
+            let top = self.stack.last_mut()?;
+            match top.next() {
+                Some((bits, child)) => self.enter(child, bits),
+                None => {
+                    self.stack.pop();
+                }
+            }
+            if let Some((bits, value)) = self.values.next() {
+                return Some((K::from_bits(bits), value));
+            }
+        }
+    }
 }
 
 impl<'a, K: PmapKey, V> Iterator for Iter<'a, K, V> {
     type Item = (K, &'a V);
 
+    #[inline]
     fn next(&mut self) -> Option<(K, &'a V)> {
-        loop {
-            let top = self.stack.last_mut()?;
-            let prefix = top.1;
-            match top.0.next() {
-                None => {
-                    self.stack.pop();
-                }
-                Some((byte, slot)) => {
-                    let bits = (prefix << 8) | u64::from(*byte);
-                    match slot {
-                        Slot::Leaf(value) => return Some((K::from_bits(bits), value)),
-                        Slot::Inner(child) => self.stack.push((child.entries.iter(), bits)),
-                    }
-                }
-            }
+        match self.values.next() {
+            Some((bits, value)) => Some((K::from_bits(bits), value)),
+            None => self.next_bottom(),
         }
     }
 }
@@ -577,7 +886,7 @@ mod tests {
             base,
             "cloning the map copies no values at all"
         );
-        // Writing a sibling key path-copies the shared leaf node, which
+        // Writing a sibling key path-copies the shared bottom node, which
         // bumps (but does not deep-copy) the sentinel's refcount once.
         a.insert(10, Arc::from("other"));
         assert!(Arc::ptr_eq(sentinel_ref(&a, 9), &sentinel));
@@ -607,6 +916,79 @@ mod tests {
         assert_eq!(keys, vec![0, u64::MAX - 1, u64::MAX]);
         assert_eq!(m.remove(&u64::MAX), Some(2));
         assert_eq!(m.get(&(u64::MAX - 1)), Some(&3));
+    }
+
+    /// Keys at the digit boundaries of the 32-wide levels.
+    const BOUNDARY_KEYS: [u64; 9] = [0, 31, 32, 1023, 1024, 32_767, 32_768, 1 << 35, u64::MAX];
+
+    #[test]
+    fn height_grows_with_the_largest_key() {
+        let mut m: PMap<u64, u64> = PMap::new();
+        let mut reference = BTreeMap::new();
+        let want_heights = [1, 1, 2, 2, 3, 3, 4, 8, 13];
+        for (key, want) in BOUNDARY_KEYS.into_iter().zip(want_heights) {
+            m.insert(key, key ^ 0x5a);
+            reference.insert(key, key ^ 0x5a);
+            assert_eq!(m.height, want, "after inserting {key}");
+            for k in reference.keys() {
+                assert_eq!(m.get(k), reference.get(k), "key {k} at height {want}");
+            }
+            let got: Vec<(u64, u64)> = m.iter().map(|(k, v)| (k, *v)).collect();
+            let model: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(got, model);
+        }
+        // Keys beyond the reach of a short map are simply absent.
+        let small: PMap<u64, u64> = (0..32u64).map(|k| (k, k)).collect();
+        assert_eq!(small.height, 1);
+        assert_eq!(small.get(&32), None);
+        assert_eq!(small.get(&u64::MAX), None);
+        // Three levels cover every id below 32k.
+        let ids: PMap<u64, u64> = (0..32_768u64).step_by(7).map(|k| (k, k)).collect();
+        assert_eq!(ids.height, 3);
+    }
+
+    #[test]
+    fn heights_never_shrink_and_removal_still_prunes() {
+        let mut m: PMap<u64, u64> = PMap::new();
+        for key in BOUNDARY_KEYS {
+            m.insert(key, key);
+        }
+        for key in BOUNDARY_KEYS {
+            assert_eq!(m.remove(&key), Some(key));
+        }
+        assert!(m.is_empty());
+        assert_eq!(m.height, 13);
+        assert_eq!(m.root.bitmap(), 0, "empty nodes are pruned");
+        m.insert(5, 5);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(5, &5)]);
+    }
+
+    #[test]
+    fn growth_keeps_the_old_root_shared() {
+        let mut a: PMap<u64, u64> = (0..100u64).map(|k| (k, k)).collect();
+        let b = a.clone();
+        assert!(a.root_shared_with(&b));
+        a.insert(1 << 20, 0);
+        assert!(!a.root_shared_with(&b), "growth installs a new root");
+        assert_eq!((a.height, b.height), (5, 2));
+        // The old root is child 0 of child 0 of child 0 of the new one.
+        let mut node: &Node<u64> = &a.root;
+        for _ in b.height..a.height {
+            node = node.low_child().expect("grown root lost its low child");
+        }
+        assert!(node.same(&b.root), "the old root is shared, not copied");
+        assert_eq!(b.len(), 100);
+        assert_eq!(b.get(&(1 << 20)), None);
+        assert_eq!(a.diff(&b), vec![DiffEntry::Removed(1 << 20)]);
+    }
+
+    #[test]
+    fn removing_an_absent_key_copies_nothing() {
+        let mut a: PMap<u64, u64> = (0..100u64).map(|k| (k, k)).collect();
+        let b = a.clone();
+        assert_eq!(a.remove(&1_000), None);
+        assert_eq!(a.remove(&u64::MAX), None);
+        assert!(a.root_shared_with(&b));
     }
 
     #[test]

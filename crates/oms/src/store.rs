@@ -1,10 +1,23 @@
 //! The object store: objects, attributes, links and transactions.
+//!
+//! Every table is persistent, so [`Database::snapshot`] is O(1) and a
+//! write after a snapshot copies only what it touches:
+//!
+//! - objects live in a [`PMap`] of `Arc<Object>`: a write path-copies
+//!   the trie arrays down to one object and `make_mut`s that object;
+//! - each relationship has a forward (source → targets) and a reverse
+//!   (target → sources) [`PMap`] of link sets. A link set is a chunked
+//!   persistent sorted set (`LinkSet`, see `linkset.rs`), so linking
+//!   one more cell version to a hub shared with a retained snapshot
+//!   copies one chunk of the hub's set and the set's chunk handles —
+//!   not the whole set.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{OmsError, OmsResult};
+use crate::linkset::LinkSet;
 use crate::pmap::{PMap, PmapKey};
 use crate::schema::{Cardinality, ClassId, RelId, Schema};
 use crate::value::Value;
@@ -54,11 +67,6 @@ pub(crate) struct Object {
     pub(crate) class: ClassId,
     pub(crate) attrs: BTreeMap<Arc<str>, Value>,
 }
-
-/// One link-index cell: the set of partners of one object along one
-/// relationship. Arc-wrapped so that path-copying a trie node clones
-/// set *handles*, never set contents.
-pub(crate) type LinkSet = Arc<BTreeSet<ObjectId>>;
 
 /// One undo step recorded while a transaction is open.
 #[derive(Debug)]
@@ -112,6 +120,8 @@ pub struct Database {
     /// `make_mut`s the one object touched.
     objects: PMap<ObjectId, Arc<Object>>,
     /// Forward links per relationship: source -> set of targets.
+    /// Chunked persistent sets, so a hub's set is copied a chunk at a
+    /// time.
     forward: Vec<PMap<ObjectId, LinkSet>>,
     /// Reverse links per relationship: target -> set of sources.
     reverse: Vec<PMap<ObjectId, LinkSet>>,
@@ -329,10 +339,11 @@ impl Database {
                 object: target,
             });
         }
-        let inserted =
-            Arc::make_mut(self.forward[rel.index()].get_or_insert_with(source, LinkSet::default))
-                .insert(target);
-        Arc::make_mut(self.reverse[rel.index()].get_or_insert_with(target, LinkSet::default))
+        let inserted = self.forward[rel.index()]
+            .get_or_insert_with(source, LinkSet::default)
+            .insert(target);
+        self.reverse[rel.index()]
+            .get_or_insert_with(target, LinkSet::default)
             .insert(source);
         if inserted {
             self.record(Undo::Linked(rel, source, target));
@@ -357,18 +368,14 @@ impl Database {
                 target,
             });
         }
-        Arc::make_mut(
-            self.forward[rel.index()]
-                .get_mut(&source)
-                .expect("checked above"),
-        )
-        .remove(&target);
-        Arc::make_mut(
-            self.reverse[rel.index()]
-                .get_mut(&target)
-                .expect("reverse index mirrors forward index"),
-        )
-        .remove(&source);
+        self.forward[rel.index()]
+            .get_mut(&source)
+            .expect("checked above")
+            .remove(&target);
+        self.reverse[rel.index()]
+            .get_mut(&target)
+            .expect("reverse index mirrors forward index")
+            .remove(&source);
         self.record(Undo::Unlinked(rel, source, target));
         Ok(())
     }
@@ -441,6 +448,26 @@ impl Database {
         }
     }
 
+    /// How many chunks of the link set `source -> *` along `rel` are
+    /// the *same allocation* in `self` and `other`, and how many chunks
+    /// the set has in `self` — proof that a write to a large set shared
+    /// with a snapshot copied one chunk, not the set. `(0, 0)` when
+    /// `source` has no set. Diagnostic probe for structural-sharing
+    /// tests; not part of the stable API.
+    #[doc(hidden)]
+    pub fn link_chunks_shared_with(
+        &self,
+        other: &Database,
+        rel: RelId,
+        source: ObjectId,
+    ) -> (usize, usize) {
+        let empty = LinkSet::default();
+        let theirs = other.forward[rel.index()].get(&source).unwrap_or(&empty);
+        self.forward[rel.index()]
+            .get(&source)
+            .map_or((0, 0), |ours| ours.chunks_shared_with(theirs))
+    }
+
     // --- transactions -----------------------------------------------------
 
     /// Opens a transaction; subsequent mutations are journalled.
@@ -499,10 +526,10 @@ impl Database {
                 }
                 Undo::Linked(rel, s, t) => {
                     if let Some(set) = self.forward[rel.index()].get_mut(&s) {
-                        Arc::make_mut(set).remove(&t);
+                        set.remove(&t);
                     }
                     if let Some(set) = self.reverse[rel.index()].get_mut(&t) {
-                        Arc::make_mut(set).remove(&s);
+                        set.remove(&s);
                     }
                 }
                 Undo::Unlinked(rel, s, t) => {
@@ -536,8 +563,12 @@ impl Database {
 
     /// Restores a link pair without journalling — abort-path helper.
     fn relink(&mut self, rel: RelId, s: ObjectId, t: ObjectId) {
-        Arc::make_mut(self.forward[rel.index()].get_or_insert_with(s, LinkSet::default)).insert(t);
-        Arc::make_mut(self.reverse[rel.index()].get_or_insert_with(t, LinkSet::default)).insert(s);
+        self.forward[rel.index()]
+            .get_or_insert_with(s, LinkSet::default)
+            .insert(t);
+        self.reverse[rel.index()]
+            .get_or_insert_with(t, LinkSet::default)
+            .insert(s);
     }
 
     pub(crate) fn raw_parts(&self) -> RawParts<'_> {

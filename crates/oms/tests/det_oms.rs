@@ -109,3 +109,43 @@ fn checkpointer_always_matches_full_dump() {
     let _ = ckpt.dump(&db);
     assert_eq!(ckpt.last_serialized(), 0);
 }
+
+/// A hub object linked to 3 000 members, as the master framework's team
+/// and flow objects are: one write to the hub's link set under a
+/// retained snapshot copies one chunk of the set, not the set.
+#[test]
+fn a_hub_write_under_a_snapshot_unshares_one_link_chunk() {
+    let mut db = Database::new(schema());
+    let node = db.schema().class_by_name("Node").unwrap();
+    let edge = db.schema().relationship_by_name("edge").unwrap();
+    let hub = db.create(node).unwrap();
+    let members: Vec<_> = (0..3_000).map(|_| db.create(node).unwrap()).collect();
+    for m in &members {
+        db.link(edge, hub, *m).unwrap();
+    }
+    let snap = db.snapshot();
+    let (shared, chunks) = db.link_chunks_shared_with(&snap, edge, hub);
+    assert_eq!(shared, chunks, "a snapshot shares every chunk");
+    assert!(chunks > 20, "3 000 members span many chunks, got {chunks}");
+
+    // The write the catalog build makes on every new cell version: link
+    // one more member to the hub.
+    let newcomer = db.create(node).unwrap();
+    db.link(edge, hub, newcomer).unwrap();
+    assert_eq!(
+        db.link_chunks_shared_with(&snap, edge, hub),
+        (chunks - 1, chunks),
+        "exactly one chunk was copied"
+    );
+    // Removing a member elsewhere in the set copies one more chunk.
+    db.unlink(edge, hub, members[1_000]).unwrap();
+    assert_eq!(
+        db.link_chunks_shared_with(&snap, edge, hub),
+        (chunks - 2, chunks)
+    );
+    // The snapshot still answers with the pre-write set.
+    assert_eq!(snap.targets(edge, hub), members);
+    assert!(db.linked(edge, hub, newcomer) && !snap.linked(edge, hub, newcomer));
+    assert!(!db.linked(edge, hub, members[1_000]));
+    assert_eq!(db.targets(edge, hub).len(), 3_000);
+}

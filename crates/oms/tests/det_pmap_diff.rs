@@ -207,3 +207,86 @@ fn diff_covers_empty_and_disjoint_extremes() {
         vec![DiffEntry::Added(0, 1), DiffEntry::Added(u64::MAX, 2)]
     );
 }
+
+/// Keys spread over every trie height: small dense ids, the 32-wide
+/// level boundaries, and keys up to `u64::MAX`.
+fn any_height_key(rng: &mut SplitMix64) -> u64 {
+    match rng.below(4) {
+        0 => rng.next_u64() % 64,
+        1 => [0, 31, 32, 1023, 1024, 1 << 35, u64::MAX][rng.below(7)],
+        2 => rng.next_u64() >> (rng.below(64) as u32),
+        _ => rng.next_u64() % 40_000,
+    }
+}
+
+#[test]
+fn diff_between_maps_of_different_heights_matches_the_reference() {
+    let mut rng = SplitMix64::new(0x00D1_FF05);
+    for trial in 0..60 {
+        // A short base (keys below 1024) against a target that may
+        // reach any height, both independent and as an evolved clone.
+        let mut base: PMap<u64, u64> = PMap::new();
+        let mut base_ref = BTreeMap::new();
+        for _ in 0..rng.below(80) {
+            let (k, v) = (rng.next_u64() % 1024, rng.next_u64());
+            base.insert(k, v);
+            base_ref.insert(k, v);
+        }
+        let (mut target, mut target_ref) = if trial % 2 == 0 {
+            (base.clone(), base_ref.clone())
+        } else {
+            (PMap::new(), BTreeMap::new())
+        };
+        for _ in 0..rng.below(60) {
+            let k = any_height_key(&mut rng);
+            if rng.below(4) == 0 {
+                assert_eq!(target.remove(&k), target_ref.remove(&k));
+            } else {
+                let v = rng.next_u64();
+                assert_eq!(target.insert(k, v), target_ref.insert(k, v));
+            }
+        }
+        let model: Vec<(u64, u64)> = target_ref.iter().map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(u64, u64)> = target.iter().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(got, model, "trial {trial}: iteration order");
+        for (a, a_ref, b, b_ref) in [
+            (&base, &base_ref, &target, &target_ref),
+            (&target, &target_ref, &base, &base_ref),
+        ] {
+            let d = a.diff(b);
+            assert_eq!(d, reference_diff(a_ref, b_ref), "trial {trial}");
+            assert_eq!(&a.apply_diff(&d), b, "trial {trial}");
+        }
+    }
+}
+
+#[test]
+fn diff_of_a_clone_that_grew_skips_everything_it_shares() {
+    let mut m: PMap<u64, Probe> = PMap::new();
+    for k in 0..4096u64 {
+        m.insert(k, Probe(k));
+    }
+    let base = m.clone();
+    // Growing by two far keys raises the height; one small key changes.
+    m.insert(1 << 35, Probe(1));
+    m.insert(u64::MAX, Probe(2));
+    m.insert(7, Probe(70));
+    assert!(!m.root_shared_with(&base));
+    reset_counters();
+    let diff = base.diff(&m);
+    assert_eq!(
+        diff.iter().map(|e| *e.key()).collect::<Vec<u64>>(),
+        vec![7, 1 << 35, u64::MAX]
+    );
+    let compared = COMPARISONS.load(Ordering::Relaxed);
+    assert!(
+        compared <= 32,
+        "a grown clone compared {compared} values; only the touched leaf node may be walked"
+    );
+    reset_counters();
+    let back = m.diff(&base);
+    assert_eq!(back.len(), 3);
+    assert!(COMPARISONS.load(Ordering::Relaxed) <= 32);
+    assert_eq!(base.apply_diff(&diff), m);
+    assert_eq!(m.apply_diff(&back), base);
+}

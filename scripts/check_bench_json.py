@@ -43,6 +43,11 @@ and closure — the committed floor), the end-to-end trigger batch must
 verify firing and run faster under the VM, and VM-mode trigger
 throughput must stay above the floor derived from
 scripts/e18_baseline.json.
+
+BENCH_E19.json (O(Δ) history retention) is gated on its contract: a
+create-cell-version submit through a service that retains history must
+cost at most 2x as much at the largest size as at the smallest (10x
+more objects), with history actually retained at every size.
 """
 
 import json
@@ -162,6 +167,7 @@ def main():
     check_e16()
     check_e17()
     check_e18()
+    check_e19()
 
 
 E12_COUNTERS = (
@@ -889,6 +895,59 @@ def check_e18():
                 e18["seed"]
             )
         )
+
+
+E19_ROW_FIELDS = (
+    "objects",
+    "hub_members",
+    "cv_p50_ns",
+    "cv_p99_ns",
+    "samples",
+    "retained",
+)
+
+# The committed ceiling on create-cell-version p50 growth over the E19
+# object sweep (10k -> 100k objects). Copying whole hub link sets or
+# fixed-depth trie spines under retention grows it ~16x.
+E19_MAX_P50_GROWTH = 2.0
+
+
+def check_e19():
+    e19 = load("BENCH_E19.json")
+    rows = e19.get("rows")
+    if "seed" not in e19 or not rows or len(rows) < 2:
+        sys.exit("FAIL: BENCH_E19.json lacks a seed or has fewer than two rows")
+    for row in rows:
+        for field in E19_ROW_FIELDS:
+            if field not in row:
+                sys.exit(f"FAIL: BENCH_E19.json row lacks {field!r}")
+        if row["retained"] < 2:
+            sys.exit(
+                "FAIL: E19 at {} objects retained {} snapshot(s) — the sweep "
+                "must run with history retained".format(row["objects"], row["retained"])
+            )
+    first, last = rows[0], rows[-1]
+    size_growth = last["objects"] / max(first["objects"], 1)
+    p50_growth = last["cv_p50_ns"] / max(first["cv_p50_ns"], 1)
+    if size_growth < 5:
+        sys.exit(
+            "FAIL: E19 swept only a {:.1f}x object growth; the gate needs a "
+            "wide sweep".format(size_growth)
+        )
+    if p50_growth > E19_MAX_P50_GROWTH:
+        sys.exit(
+            "FAIL: E19 create-cell-version p50 grew {:.2f}x over a {:.0f}x object "
+            "growth (> {:.1f}x cap — a retained snapshot costs more than its "
+            "write touched)".format(p50_growth, size_growth, E19_MAX_P50_GROWTH)
+        )
+    if e19.get("holds") is not True:
+        sys.exit("FAIL: E19 reports its own gated properties as lost")
+    print(
+        "OK: E19 retention sweep (create-cell-version p50 {} -> {} ns, grew "
+        "{:.2f}x over {:.0f}x objects, {} snapshots retained)".format(
+            first["cv_p50_ns"], last["cv_p50_ns"], p50_growth, size_growth, last["retained"]
+        )
+    )
 
 
 if __name__ == "__main__":
