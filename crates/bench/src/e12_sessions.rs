@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cad_vfs::Blob;
-use hybrid::{Engine, Service, StagingMode, ToolOutput};
+use hybrid::{Engine, Service, SessionOps, StagingMode, ToolOutput};
 use jcf::DovId;
 
 use crate::workload::cloud_bytes;

@@ -28,7 +28,7 @@ use std::fmt;
 use std::time::Instant;
 
 use cad_vfs::Blob;
-use hybrid::{Engine, Event, Op, RetentionPolicy, Service};
+use hybrid::{Engine, Event, Op, RetentionPolicy, Service, SessionOps};
 
 /// The retention window every E17 service runs with.
 const WINDOW: usize = 64;

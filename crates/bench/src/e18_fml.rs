@@ -23,7 +23,7 @@ use std::fmt;
 use std::time::Instant;
 
 use fml::{ExecMode, Interp, NoHost, Value};
-use hybrid::{Engine, Service};
+use hybrid::{Engine, Service, SessionOps};
 
 /// Fuel budget per benchmarked call — far above what any workload
 /// needs, so the meter records but never trips.

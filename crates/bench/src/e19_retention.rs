@@ -19,7 +19,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use hybrid::{Engine, Op, Service};
+use hybrid::{Engine, Op, Service, SessionOps};
 
 /// Cells (each with one version) per populated project. Keeps the
 /// per-project cell-name check short while the hubs grow.

@@ -90,6 +90,10 @@ pub enum HybridError {
     /// errors — they come back as a
     /// [`MergeConflict`](crate::Event::MergeConflict) event.)
     Merge(String),
+    /// A queued write never learned its outcome: the group-commit
+    /// leader carrying it panicked. Ops the leader applied before the
+    /// panic stay applied; the write may or may not have committed.
+    WriteAborted(String),
 }
 
 impl fmt::Display for HybridError {
@@ -131,6 +135,7 @@ impl fmt::Display for HybridError {
                  (closest boundary: {reachable})"
             ),
             HybridError::Merge(what) => write!(f, "merge: {what}"),
+            HybridError::WriteAborted(what) => write!(f, "write aborted: {what}"),
         }
     }
 }
@@ -156,6 +161,7 @@ impl HybridError {
             HybridError::DeltaChain(_) => "delta-chain",
             HybridError::SeqUnreachable { .. } => "seq-unreachable",
             HybridError::Merge(_) => "merge",
+            HybridError::WriteAborted(_) => "write-aborted",
         }
     }
 }

@@ -109,26 +109,24 @@ impl<V: Clone> HistoryRing<V> {
         }
     }
 
-    /// The view retained at exactly `seq`, if any (pins win).
-    pub(crate) fn get(&self, seq: u64) -> Option<V> {
+    /// The view retained at exactly `seq` (pins win), or the typed
+    /// miss naming the closest retained boundary.
+    pub(crate) fn get(&self, seq: u64) -> HybridResult<V> {
         if let Some(view) = self.pinned.get(&seq) {
-            return Some(view.clone());
+            return Ok(view.clone());
         }
         self.ring
             .iter()
             .find(|(s, _)| *s == seq)
             .map(|(_, view)| view.clone())
+            .ok_or_else(|| self.unreachable(seq))
     }
 
     /// Pins a currently retained seq so it survives ring eviction.
     pub(crate) fn pin(&mut self, seq: u64) -> HybridResult<()> {
-        match self.get(seq) {
-            Some(view) => {
-                self.pinned.insert(seq, view);
-                Ok(())
-            }
-            None => Err(self.unreachable(seq)),
-        }
+        let view = self.get(seq)?;
+        self.pinned.insert(seq, view);
+        Ok(())
     }
 
     /// Drops a pin; returns whether one existed.
@@ -146,7 +144,7 @@ impl<V: Clone> HistoryRing<V> {
     }
 
     /// The typed miss for `seq`: closest retained boundary attached.
-    pub(crate) fn unreachable(&self, seq: u64) -> HybridError {
+    fn unreachable(&self, seq: u64) -> HybridError {
         let reachable = self
             .retained()
             .into_iter()
@@ -266,12 +264,8 @@ impl HistoryView {
 /// How a [`Workspace`] reaches the write path when it merges forward.
 #[derive(Debug, Clone)]
 pub(crate) enum MergeBackend {
-    /// Through a single-engine [`Service`](crate::Service) on behalf
-    /// of the opening session.
-    Single {
-        service: crate::Service,
-        session: u64,
-    },
+    /// Through a single-engine [`Service`](crate::Service).
+    Single(crate::Service),
     /// Through the sharded front-end.
     Sharded(crate::ShardedService),
 }
@@ -283,7 +277,7 @@ pub(crate) enum MergeBackend {
 /// reserve → write → publish, with optimistic conflict detection
 /// against the recorded branch point.
 ///
-/// Unlike a live [`reserve`](crate::Session::reserve), opening a
+/// Unlike a live [`reserve`](crate::SessionOps::reserve), opening a
 /// workspace takes **no lock on the head**: other designers keep
 /// publishing while the branch is edited. The price is optimism — if
 /// the head moved under a staged object (or someone holds the
@@ -416,7 +410,7 @@ impl Workspace {
             writes: self.staged,
         };
         match self.backend {
-            MergeBackend::Single { service, session } => service.submit_from(session, op),
+            MergeBackend::Single(service) => service.submit(op),
             MergeBackend::Sharded(service) => service.submit(op),
         }
     }
@@ -433,8 +427,8 @@ mod tests {
             ring.observe(seq, seq * 10);
         }
         assert_eq!(ring.retained(), vec![3, 4, 5]);
-        assert_eq!(ring.get(4), Some(40));
-        assert_eq!(ring.get(1), None);
+        assert_eq!(ring.get(4).ok(), Some(40));
+        assert!(ring.get(1).is_err());
     }
 
     #[test]
@@ -442,7 +436,7 @@ mod tests {
         let mut ring: HistoryRing<u64> = HistoryRing::new(RetentionPolicy::LastN(3));
         ring.observe(1, 10);
         ring.observe(1, 99);
-        assert_eq!(ring.get(1), Some(10), "the first offer wins");
+        assert_eq!(ring.get(1).ok(), Some(10), "the first offer wins");
         assert_eq!(ring.retained(), vec![1]);
     }
 
@@ -465,10 +459,10 @@ mod tests {
             ring.observe(seq, seq);
         }
         assert_eq!(ring.retained(), vec![1, 4, 5]);
-        assert_eq!(ring.get(1), Some(10));
+        assert_eq!(ring.get(1).ok(), Some(10));
         assert!(ring.unpin(1));
         assert!(!ring.unpin(1), "second unpin is a no-op");
-        assert_eq!(ring.get(1), None);
+        assert!(ring.get(1).is_err());
     }
 
     #[test]

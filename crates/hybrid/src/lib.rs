@@ -83,10 +83,12 @@ mod framework;
 mod future;
 mod history;
 mod import;
+mod lane;
 pub mod mapping;
 mod ops;
 mod release;
 mod service;
+mod session;
 mod shard;
 mod snapshot;
 
@@ -103,11 +105,13 @@ pub use framework::{Hybrid, MirrorLocation, StagingMode, StandardFlow, COUPLER};
 pub use future::FutureFeatures;
 pub use history::{HistoryView, RetentionPolicy, Workspace};
 pub use import::ImportReport;
+pub use lane::ServiceStats;
 pub use ops::Op;
 pub use release::ExportManifest;
-pub use service::{Service, ServiceStats, Session};
+pub use service::{Service, Session};
+pub use session::SessionOps;
 pub use shard::{
-    shard_of_name, RouterView, ShardHistoryView, ShardLaneStats, ShardStats, ShardView,
-    ShardedService, ShardedServiceBuilder, ShardedSession, VIRT_BASE,
+    shard_of_name, RouterView, ShardHistoryView, ShardStats, ShardView, ShardedService,
+    ShardedServiceBuilder, ShardedSession, VIRT_BASE,
 };
 pub use snapshot::Snapshot;

@@ -10,25 +10,28 @@
 //!   coupling state); `browse`, `read_design_data` and arbitrary
 //!   queries run against it with `&self`, in parallel, with zero byte
 //!   copies — concurrent readers share [`cad_vfs::Blob`] handles.
-//! * **Writes are group-committed.** All mutations funnel into a
-//!   batched apply queue. The first writer to arrive becomes the
-//!   *leader*: it drains every queued op in one engine critical
-//!   section, fills each submitter's result slot, republishes the
-//!   snapshot once per batch and fans the emitted events out to every
-//!   session's subscription queue. Followers just park on their slot.
+//! * **Writes are group-committed.** All mutations funnel into the
+//!   service's one write lane (the crate's `lane` module, shared with
+//!   [`ShardedService`](crate::ShardedService)): the first writer to
+//!   arrive leads and commits every queued op in one engine critical
+//!   section; followers park on their result slot. Per batch the
+//!   service offers each committed seq to the history ring, and after
+//!   the lane republishes it fans the committed events out to every
+//!   session's subscription queue — all before any submitter wakes.
 //!
 //! The effect is the classic group-commit trade: writers pay one lock
 //! handoff per *batch* instead of per op, and readers never wait on
-//! writers at all (at worst they read the previous snapshot).
+//! writers at all (at worst they read the previous snapshot). The
+//! typed write helpers come from [`SessionOps`].
 //!
 //! # Examples
 //!
 //! ```
-//! use hybrid::{Engine, Service};
+//! use hybrid::{Engine, Service, SessionOps};
 //!
 //! # fn main() -> Result<(), hybrid::HybridError> {
 //! let service = Service::new(Engine::builder().build());
-//! let mut admin = service.open_session(service.admin());
+//! let admin = service.open_session(service.admin());
 //! let alice_id = admin.add_user("alice", false)?;
 //! let alice = service.open_session(alice_id);
 //! // Reads run against the published snapshot, in parallel, &self:
@@ -39,125 +42,26 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use cad_vfs::Blob;
-use jcf::{CellId, CellVersionId, DovId, FlowId, ProjectId, TeamId, UserId, VariantId};
+use jcf::{CellVersionId, DovId, UserId};
 
 use crate::engine::Engine;
-use crate::error::{HybridError, HybridResult};
+use crate::error::HybridResult;
 use crate::events::Event;
-use crate::framework::StandardFlow;
 use crate::history::{HistoryRing, HistoryView, MergeBackend, RetentionPolicy, Workspace};
+use crate::lane::{lock, Lane, Outcome, ServiceStats};
 use crate::ops::Op;
+use crate::session::SessionOps;
 use crate::snapshot::Snapshot;
-
-/// Lock a mutex, riding through poisoning: a writer that panicked
-/// mid-batch must not take the whole service down with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A session's private queue of committed `(seq, event)` pairs.
 type EventQueue = Arc<Mutex<VecDeque<(u64, Event)>>>;
 
-/// One submitted op waiting for its batch to commit. The filled
-/// result carries the engine sequence number the op committed (or,
-/// for failed ops, journaled) at.
-struct Slot {
-    result: Mutex<Option<HybridResult<(u64, Event)>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: HybridResult<(u64, Event)>) {
-        *lock(&self.result) = Some(result);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> HybridResult<(u64, Event)> {
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// The batched apply queue. `draining` marks that a leader is inside
-/// the engine critical section; writers that arrive meanwhile enqueue
-/// and either park (followers) or take over leadership once the
-/// current leader hands the engine back.
-struct Queue {
-    pending: Vec<(Op, Arc<Slot>, u64)>,
-    draining: bool,
-}
-
-/// Running counters of the service's concurrency behaviour; all
-/// monotone, all cheap (relaxed atomics).
-#[derive(Debug, Default)]
-struct Stats {
-    /// Ops committed through the write queue.
-    ops: AtomicU64,
-    /// Engine critical sections (group commits).
-    batches: AtomicU64,
-    /// Largest single batch.
-    max_batch: AtomicU64,
-    /// Writers that parked as followers instead of leading.
-    writer_waits: AtomicU64,
-    /// Snapshot reads that found the publish lock briefly held.
-    reader_waits: AtomicU64,
-    /// Ops currently enqueued but not yet taken by a leader (gauge,
-    /// the BUSY-threshold signal of the network front-end).
-    queue_depth: AtomicU64,
-    /// Deepest the pending queue has ever been.
-    max_queue_depth: AtomicU64,
-}
-
-/// A point-in-time copy of the service's concurrency counters.
-///
-/// Returned by [`Service::stats`]; the E12 benchmark reports these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ServiceStats {
-    /// Ops committed through the write queue.
-    pub ops: u64,
-    /// Engine critical sections (group commits).
-    pub batches: u64,
-    /// Largest single group commit, in ops.
-    pub max_batch: u64,
-    /// Writers that parked as followers instead of leading a batch.
-    pub writer_waits: u64,
-    /// Snapshot reads that found the publish lock briefly held.
-    pub reader_waits: u64,
-    /// Ops enqueued but not yet taken by a leader at sample time (the
-    /// write-queue depth the network front-end's BUSY threshold reads).
-    pub queue_depth: u64,
-    /// Deepest the pending queue has ever been.
-    pub max_queue_depth: u64,
-}
-
 struct Inner {
-    engine: Mutex<Engine>,
-    queue: Mutex<Queue>,
-    /// The published read view; replaced (not mutated) once per batch.
-    snapshot: Mutex<Arc<Snapshot>>,
-    /// Sequence number of the published snapshot, for cheap staleness
-    /// checks: sessions revalidate their cached view against this
-    /// atomic instead of taking the snapshot lock on every read.
-    published_seq: AtomicU64,
+    /// The engine, its group-commit queue and its published snapshot.
+    lane: Lane<Op>,
     /// Per-session event queues, keyed by session id.
     subscribers: Mutex<Vec<(u64, EventQueue)>>,
     /// The time-travel retention ring: recently published snapshots by
@@ -165,7 +69,6 @@ struct Inner {
     /// committed op); history reads clone an `Arc` out and leave.
     history: Mutex<HistoryRing<Arc<Snapshot>>>,
     next_session: AtomicU64,
-    stats: Stats,
     admin: UserId,
 }
 
@@ -199,23 +102,14 @@ impl Service {
     /// Like [`Service::new`] with an explicit history retention policy.
     pub fn with_retention(engine: Engine, policy: RetentionPolicy) -> Service {
         let admin = engine.admin();
-        let seq = engine.seq();
-        let snapshot = engine.snapshot();
         let mut history = HistoryRing::new(policy);
-        history.observe(seq, Arc::clone(&snapshot));
+        history.observe(engine.seq(), engine.snapshot());
         Service {
             inner: Arc::new(Inner {
-                engine: Mutex::new(engine),
-                queue: Mutex::new(Queue {
-                    pending: Vec::new(),
-                    draining: false,
-                }),
-                snapshot: Mutex::new(snapshot),
-                published_seq: AtomicU64::new(seq),
+                lane: Lane::new(engine),
                 subscribers: Mutex::new(Vec::new()),
                 history: Mutex::new(history),
                 next_session: AtomicU64::new(1),
-                stats: Stats::default(),
                 admin,
             }),
         }
@@ -246,31 +140,12 @@ impl Service {
     /// returned (and the brush with the lock is counted as a
     /// `reader_wait`).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        match self.inner.snapshot.try_lock() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.inner
-                    .stats
-                    .reader_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                Arc::clone(&lock(&self.inner.snapshot))
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => Arc::clone(&p.into_inner()),
-        }
+        self.inner.lane.snapshot()
     }
 
     /// A copy of the service's concurrency counters.
     pub fn stats(&self) -> ServiceStats {
-        let s = &self.inner.stats;
-        ServiceStats {
-            ops: s.ops.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            max_batch: s.max_batch.load(Ordering::Relaxed),
-            writer_waits: s.writer_waits.load(Ordering::Relaxed),
-            reader_waits: s.reader_waits.load(Ordering::Relaxed),
-            queue_depth: s.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: s.max_queue_depth.load(Ordering::Relaxed),
-        }
+        self.inner.lane.stats()
     }
 
     /// The current write-queue depth: ops enqueued but not yet taken
@@ -278,17 +153,17 @@ impl Service {
     /// per-request saturation check (the network front-end's BUSY
     /// threshold).
     pub fn queue_depth(&self) -> u64 {
-        self.inner.stats.queue_depth.load(Ordering::Relaxed)
+        self.inner.lane.queue_depth()
     }
 
     /// Runs a closure against the engine under the write lock, outside
     /// the batching queue. For maintenance paths (checkpointing, fault
     /// arming) that need the whole engine, not one op.
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        let mut engine = lock(&self.inner.engine);
+        let mut engine = self.inner.lane.engine();
         let out = f(&mut engine);
         lock(&self.inner.history).observe(engine.seq(), engine.snapshot());
-        self.republish(&engine);
+        self.inner.lane.publish(&engine);
         out
     }
 
@@ -296,113 +171,29 @@ impl Service {
     /// its batch commits. Returns the engine sequence number the op
     /// committed at together with its event — the form the network
     /// front-end ships back over the wire. (In-process callers usually
-    /// go through the typed [`Session`] wrappers instead.)
+    /// go through the typed [`SessionOps`] helpers instead.)
+    ///
+    /// Each batch applies its ops in order, offers every committed seq
+    /// to the retention ring, republishes once and fans the committed
+    /// events out to every session's queue before any submitter wakes.
     ///
     /// # Errors
     ///
     /// Returns whatever the op returns on the engine.
     pub fn submit(&self, op: Op) -> HybridResult<(u64, Event)> {
-        self.submit_from(0, op)
-    }
-
-    /// Submits one op on behalf of session `session`.
-    pub(crate) fn submit_from(&self, session: u64, op: Op) -> HybridResult<(u64, Event)> {
-        let slot = Slot::new();
-        let lead = {
-            let mut queue = lock(&self.inner.queue);
-            queue.pending.push((op, Arc::clone(&slot), session));
-            let depth = queue.pending.len() as u64;
-            self.inner.stats.queue_depth.store(depth, Ordering::Relaxed);
-            self.inner
-                .stats
-                .max_queue_depth
-                .fetch_max(depth, Ordering::Relaxed);
-            if queue.draining {
-                // A leader is already inside the engine; it (or the
-                // next leader) will pick this op up.
-                self.inner
-                    .stats
-                    .writer_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            } else {
-                queue.draining = true;
-                true
-            }
-        };
-        if lead {
-            self.drain();
-        }
-        slot.wait()
-    }
-
-    /// Leader path: repeatedly swap out the pending queue and commit
-    /// it as one batch, until no ops remain; then hand leadership back.
-    fn drain(&self) {
-        let mut engine = lock(&self.inner.engine);
-        loop {
-            let batch = {
-                let mut queue = lock(&self.inner.queue);
-                if queue.pending.is_empty() {
-                    queue.draining = false;
-                    break;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let size = batch.len() as u64;
-            let stats = &self.inner.stats;
-            stats.queue_depth.store(0, Ordering::Relaxed);
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.ops.fetch_add(size, Ordering::Relaxed);
-            stats.max_batch.fetch_max(size, Ordering::Relaxed);
-            let mut fanout = Vec::new();
-            let mut results = Vec::new();
-            for (op, slot, session) in batch {
+        let inner = &*self.inner;
+        inner.lane.submit(
+            op,
+            |engine, op| {
                 let result = engine.apply(op);
                 let seq = engine.seq();
-                if let Ok(event) = &result {
-                    fanout.push((session, seq, event.clone()));
-                }
-                // Offer every committed seq to the retention ring —
-                // O(1) per op (the snapshot cache hands back one Arc
-                // per seq) and entirely off the read path.
-                lock(&self.inner.history).observe(seq, engine.snapshot());
-                results.push((slot, result.map(|event| (seq, event))));
-            }
-            // One republish and one fan-out per batch, not per op — and
-            // the republish happens before any submitter wakes, so every
-            // writer sees its own committed write in the next snapshot
-            // it reads (read-your-writes).
-            self.republish(&engine);
-            for (slot, result) in results {
-                slot.fill(result);
-            }
-            self.fan_out(&fanout);
-        }
-    }
-
-    /// Replaces the published snapshot with the engine's current state.
-    fn republish(&self, engine: &Engine) {
-        *lock(&self.inner.snapshot) = engine.snapshot();
-        self.inner
-            .published_seq
-            .store(engine.seq(), Ordering::Release);
-    }
-
-    /// Delivers committed events to every session's queue (including
-    /// the submitter's own).
-    fn fan_out(&self, events: &[(u64, u64, Event)]) {
-        let subscribers = lock(&self.inner.subscribers);
-        for (_, queue) in subscribers.iter() {
-            let mut queue = lock(queue);
-            for (_session, seq, event) in events {
-                queue.push_back((*seq, event.clone()));
-            }
-        }
-    }
-
-    fn close_session(&self, id: u64) {
-        lock(&self.inner.subscribers).retain(|(sid, _)| *sid != id);
+                // O(1) per op (the snapshot cache hands back one Arc per
+                // seq) and entirely off the read path.
+                lock(&inner.history).observe(seq, engine.snapshot());
+                result.map(|event| (seq, event))
+            },
+            |outcomes| inner.fan_out(outcomes),
+        )
     }
 
     // --- the time-travel surface (§15) ------------------------------------
@@ -411,12 +202,11 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns [`HybridError::SeqUnreachable`] (naming the closest
-    /// retained boundary) when `seq` was never retained or has been
-    /// evicted.
+    /// Returns [`HybridError::SeqUnreachable`](crate::HybridError::SeqUnreachable)
+    /// (naming the closest retained boundary) when `seq` was never
+    /// retained or has been evicted.
     pub fn at(&self, seq: u64) -> HybridResult<Arc<Snapshot>> {
-        let history = lock(&self.inner.history);
-        history.get(seq).ok_or_else(|| history.unreachable(seq))
+        lock(&self.inner.history).get(seq)
     }
 
     /// Pins a retained seq so it survives ring eviction until
@@ -424,7 +214,8 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns [`HybridError::SeqUnreachable`] for unretained seqs.
+    /// Returns [`HybridError::SeqUnreachable`](crate::HybridError::SeqUnreachable)
+    /// for unretained seqs.
     pub fn pin(&self, seq: u64) -> HybridResult<()> {
         lock(&self.inner.history).pin(seq)
     }
@@ -440,9 +231,24 @@ impl Service {
     }
 }
 
-/// One user's handle on the [`Service`]: typed write wrappers that
-/// group-commit through the shared queue, snapshot reads that never
-/// block on writers, and a private queue of committed events.
+impl Inner {
+    /// Delivers a batch's committed events, in commit order, to every
+    /// session's queue (including the submitters' own). Failed ops
+    /// journal but never fan out.
+    fn fan_out(&self, outcomes: &[Outcome]) {
+        let subscribers = lock(&self.subscribers);
+        for (_, queue) in subscribers.iter() {
+            let mut queue = lock(queue);
+            for (seq, event) in outcomes.iter().flatten() {
+                queue.push_back((*seq, event.clone()));
+            }
+        }
+    }
+}
+
+/// One user's handle on the [`Service`]: typed [`SessionOps`] writes
+/// that group-commit through the shared queue, snapshot reads that
+/// never block on writers, and a private queue of committed events.
 ///
 /// Dropping the session unsubscribes it.
 #[derive(Debug)]
@@ -460,16 +266,26 @@ pub struct Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.service.close_session(self.id);
+        let subscribers = &self.service.inner.subscribers;
+        lock(subscribers).retain(|(sid, _)| *sid != self.id);
+    }
+}
+
+impl SessionOps for Session {
+    fn user(&self) -> UserId {
+        self.user
+    }
+
+    /// Submits through the service's write queue. The returned seq is
+    /// the handle read-your-writes time travel needs: `let (seq, _) =
+    /// s.apply_seq(op)?; s.at(seq)?` sees exactly that write (given it
+    /// was retained).
+    fn apply_seq(&self, op: Op) -> HybridResult<(u64, Event)> {
+        self.service.submit(op)
     }
 }
 
 impl Session {
-    /// The user this session acts as.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
     /// The owning service.
     pub fn service(&self) -> &Service {
         &self.service
@@ -479,53 +295,25 @@ impl Session {
     /// Cached per session: only the first read after a write batch
     /// pays the (brief) shared snapshot lock.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        let mut cache = lock(&self.cache);
-        self.refresh(&mut cache);
-        Arc::clone(cache.as_ref().expect("refresh filled the cache"))
+        self.with_snapshot(Arc::clone)
     }
 
-    /// Runs a closure against the session's (revalidated) cached view
-    /// without cloning the [`Arc`] — the zero-shared-traffic read path.
-    fn with_snapshot<R>(&self, f: impl FnOnce(&Snapshot) -> R) -> R {
+    /// Runs a closure against the session's cached view, revalidated
+    /// against the published seq — the zero-shared-traffic read path.
+    fn with_snapshot<R>(&self, f: impl FnOnce(&Arc<Snapshot>) -> R) -> R {
         let mut cache = lock(&self.cache);
-        self.refresh(&mut cache);
-        f(cache.as_ref().expect("refresh filled the cache"))
-    }
-
-    fn refresh(&self, cache: &mut Option<Arc<Snapshot>>) {
-        let published = self.service.inner.published_seq.load(Ordering::Acquire);
-        let stale = cache.as_ref().is_none_or(|s| s.seq() != published);
-        if stale {
-            *cache = Some(self.service.snapshot());
-        }
+        let published = self.service.inner.lane.published_seq();
+        let snap = match cache.take() {
+            Some(snap) if snap.seq() == published => snap,
+            _ => self.service.snapshot(),
+        };
+        f(cache.insert(snap))
     }
 
     /// Drains the events committed since the last call (each with the
     /// engine sequence number it committed at).
     pub fn events(&self) -> Vec<(u64, Event)> {
         lock(&self.events).drain(..).collect()
-    }
-
-    /// Submits one raw op through the write queue and blocks until its
-    /// batch commits.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever the op returns on the engine.
-    pub fn apply(&self, op: Op) -> HybridResult<Event> {
-        self.apply_seq(op).map(|(_, event)| event)
-    }
-
-    /// Like [`Session::apply`], also returning the engine sequence
-    /// number the op committed at — the handle read-your-writes
-    /// time-travel needs: `let (seq, _) = s.apply_seq(op)?;
-    /// s.at(seq)?` sees exactly that write (given it was retained).
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever the op returns on the engine.
-    pub fn apply_seq(&self, op: Op) -> HybridResult<(u64, Event)> {
-        self.service.submit_from(self.id, op)
     }
 
     /// This session's reads against the snapshot retained at commit
@@ -535,29 +323,26 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`HybridError::SeqUnreachable`] when `seq` is not
-    /// retained (see [`Service::at`]).
+    /// Returns [`HybridError::SeqUnreachable`](crate::HybridError::SeqUnreachable)
+    /// when `seq` is not retained (see [`Service::at`]).
     pub fn at(&self, seq: u64) -> HybridResult<HistoryView> {
         Ok(HistoryView::new(self.user, self.service.at(seq)?))
     }
 
     /// Opens a branch [`Workspace`] on `cv` against the snapshot
-    /// retained at `seq`. Unlike [`Session::reserve`], this takes no
-    /// lock on the head — the reservation happens atomically inside
+    /// retained at `seq`. Unlike [`SessionOps::reserve`], this takes
+    /// no lock on the head — the reservation happens atomically inside
     /// [`Workspace::merge_forward`], and concurrent edits surface
     /// there as typed [`Event::MergeConflict`] outcomes.
     ///
     /// # Errors
     ///
-    /// Returns [`HybridError::SeqUnreachable`] when `seq` is not
-    /// retained.
+    /// Returns [`HybridError::SeqUnreachable`](crate::HybridError::SeqUnreachable)
+    /// when `seq` is not retained.
     pub fn reserve_at(&self, cv: CellVersionId, seq: u64) -> HybridResult<Workspace> {
         let base = self.service.at(seq)?;
         Ok(Workspace::open(
-            MergeBackend::Single {
-                service: self.service.clone(),
-                session: self.id,
-            },
+            MergeBackend::Single(self.service.clone()),
             self.user,
             cv,
             &base,
@@ -582,194 +367,6 @@ impl Session {
     /// Returns desktop visibility errors.
     pub fn browse(&self, dov: DovId) -> HybridResult<Blob> {
         self.with_snapshot(|snap| snap.browse(self.user, dov))
-    }
-
-    // --- typed write wrappers (the session-side desktop) -----------------
-
-    fn expect<T>(event: Event, pick: impl FnOnce(Event) -> Option<T>) -> HybridResult<T> {
-        let kind = event.kind_name();
-        pick(event)
-            .ok_or_else(|| HybridError::Journal(format!("engine returned unexpected event {kind}")))
-    }
-
-    /// Adds a user (sessions are not permission-checked; the acting
-    /// user travels in the op where the desktop requires one).
-    ///
-    /// # Errors
-    ///
-    /// Returns desktop errors (e.g. a taken name).
-    pub fn add_user(&self, name: &str, manager: bool) -> HybridResult<UserId> {
-        Self::expect(
-            self.apply(Op::AddUser {
-                name: name.to_owned(),
-                manager,
-            })?,
-            |e| match e {
-                Event::UserAdded(id) => Some(id),
-                _ => None,
-            },
-        )
-    }
-
-    /// Adds a team owned by this session's user.
-    ///
-    /// # Errors
-    ///
-    /// Returns desktop errors.
-    pub fn add_team(&self, name: &str) -> HybridResult<TeamId> {
-        Self::expect(
-            self.apply(Op::AddTeam {
-                actor: self.user,
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::TeamAdded(id) => Some(id),
-                _ => None,
-            },
-        )
-    }
-
-    /// Adds a member to a team.
-    ///
-    /// # Errors
-    ///
-    /// Returns desktop errors.
-    pub fn add_team_member(&self, team: TeamId, user: UserId) -> HybridResult<()> {
-        self.apply(Op::AddTeamMember {
-            actor: self.user,
-            team,
-            user,
-        })?;
-        Ok(())
-    }
-
-    /// Defines and freezes the paper's standard three-tool flow.
-    ///
-    /// # Errors
-    ///
-    /// Returns desktop errors.
-    pub fn standard_flow(&self, name: &str) -> HybridResult<StandardFlow> {
-        Self::expect(
-            self.apply(Op::DefineStandardFlow {
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::StandardFlowDefined(flow) => Some(flow),
-                _ => None,
-            },
-        )
-    }
-
-    /// Creates a project with its coupled FMCAD library.
-    ///
-    /// # Errors
-    ///
-    /// Returns name-clash errors from either framework.
-    pub fn create_project(&self, name: &str) -> HybridResult<ProjectId> {
-        Self::expect(
-            self.apply(Op::CreateProject {
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::ProjectCreated(id) => Some(id),
-                _ => None,
-            },
-        )
-    }
-
-    /// Creates a cell under a project.
-    ///
-    /// # Errors
-    ///
-    /// Returns desktop errors.
-    pub fn create_cell(&self, project: ProjectId, name: &str) -> HybridResult<CellId> {
-        Self::expect(
-            self.apply(Op::CreateCell {
-                project,
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::CellCreated(id) => Some(id),
-                _ => None,
-            },
-        )
-    }
-
-    /// Creates a cell version (and its mapped FMCAD cell).
-    ///
-    /// # Errors
-    ///
-    /// Returns errors from either framework.
-    pub fn create_cell_version(
-        &self,
-        cell: CellId,
-        flow: FlowId,
-        team: TeamId,
-    ) -> HybridResult<(CellVersionId, VariantId)> {
-        Self::expect(
-            self.apply(Op::CreateCellVersion { cell, flow, team })?,
-            |e| match e {
-                Event::CellVersionCreated(cv, variant) => Some((cv, variant)),
-                _ => None,
-            },
-        )
-    }
-
-    /// Reserves a cell version for this session's user.
-    ///
-    /// # Errors
-    ///
-    /// Returns reservation errors.
-    pub fn reserve(&self, cv: CellVersionId) -> HybridResult<()> {
-        self.apply(Op::Reserve {
-            user: self.user,
-            cv,
-        })?;
-        Ok(())
-    }
-
-    /// Publishes a cell version's design data.
-    ///
-    /// # Errors
-    ///
-    /// Returns reservation errors.
-    pub fn publish(&self, cv: CellVersionId) -> HybridResult<()> {
-        self.apply(Op::Publish {
-            user: self.user,
-            cv,
-        })?;
-        Ok(())
-    }
-
-    /// Runs an encapsulated activity with pre-recorded tool outputs
-    /// (the replayable form of
-    /// [`Engine::run_activity`](crate::Engine::run_activity)).
-    ///
-    /// # Errors
-    ///
-    /// Returns flow, reservation and consistency errors.
-    pub fn run_activity(
-        &self,
-        variant: VariantId,
-        activity: jcf::ActivityId,
-        override_pending: bool,
-        outputs: Vec<crate::ToolOutput>,
-        session_error: Option<String>,
-    ) -> HybridResult<Vec<DovId>> {
-        Self::expect(
-            self.apply(Op::RunActivity {
-                user: self.user,
-                variant,
-                activity,
-                override_pending,
-                outputs: outputs.into_iter().map(|o| (o.viewtype, o.data)).collect(),
-                session_error,
-            })?,
-            |e| match e {
-                Event::ActivityRun { dovs } => Some(dovs),
-                _ => None,
-            },
-        )
     }
 }
 
@@ -836,62 +433,6 @@ mod tests {
         drop(ephemeral);
         writer.create_project("p").unwrap();
         assert_eq!(lock(&service.inner.subscribers).len(), 1);
-    }
-
-    #[test]
-    fn concurrent_writers_group_commit() {
-        let service = Service::new(Engine::builder().build());
-        let threads: Vec<_> = (0..8)
-            .map(|i| {
-                let service = service.clone();
-                std::thread::spawn(move || {
-                    let session = service.open_session(service.admin());
-                    (0..16)
-                        .map(|j| session.create_project(&format!("p-{i}-{j}")).unwrap())
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut projects = Vec::new();
-        for t in threads {
-            projects.extend(t.join().unwrap());
-        }
-        let stats = service.stats();
-        assert_eq!(stats.ops, 128);
-        assert!(stats.batches <= 128);
-        let snap = service.snapshot();
-        assert_eq!(snap.seq(), 128);
-        // Every project committed exactly once, visible in the view.
-        projects.sort();
-        projects.dedup();
-        assert_eq!(projects.len(), 128);
-        for project in projects {
-            assert!(snap.library_of(project).is_ok());
-        }
-    }
-
-    #[test]
-    fn queue_depth_counters_track_the_write_queue() {
-        let service = Service::new(Engine::builder().build());
-        let threads: Vec<_> = (0..8)
-            .map(|i| {
-                let service = service.clone();
-                std::thread::spawn(move || {
-                    let session = service.open_session(service.admin());
-                    for j in 0..16 {
-                        session.create_project(&format!("q-{i}-{j}")).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let stats = service.stats();
-        assert!(stats.max_queue_depth >= 1, "at least one op was queued");
-        assert!(stats.max_queue_depth <= 128);
-        assert_eq!(service.queue_depth(), 0, "all ops committed, gauge drained");
-        assert_eq!(stats.queue_depth, 0);
     }
 
     #[test]

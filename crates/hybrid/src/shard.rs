@@ -9,10 +9,12 @@
 //!   partition. Partition names hash to shards with a pure FNV-1a
 //!   placement function ([`shard_of_name`]), so routing at submit time
 //!   needs no registry lookup for name-keyed ops.
-//! * **Per-shard leader/follower write queues** replicate the group
-//!   commit discipline of [`Service`](crate::Service): one lane per
-//!   shard, each with its own engine lock, batch queue and published
-//!   snapshot.
+//! * **One write lane per shard.** Each partition engine sits behind
+//!   the same group-commit lane [`Service`](crate::Service) uses (the
+//!   crate's `lane` module), with its own engine lock, batch queue,
+//!   published snapshot and [`ServiceStats`]. This module supplies only
+//!   the closures: run each op's [`RoutePlan`], then, once per batch,
+//!   offer the composed view to the history ring.
 //! * **Per-shard append-only journals** record every op in *envelope*
 //!   form (the virtual-id op plus its global commit sequence) before
 //!   the engine applies it, so restart replay reproduces successes
@@ -74,12 +76,15 @@
 //! The sharded service does not fan events out to per-session
 //! subscription queues (use [`Service`](crate::Service) when event
 //! subscriptions matter); each write returns its own `(seq, event)`
-//! pair instead. Recovery requires the same shard count the journals
-//! were written with (it is recorded in `router.meta`).
+//! pair instead. [`ShardedSession`] shares the typed write helpers of
+//! [`SessionOps`] with [`Session`](crate::Session); only its reads
+//! differ (they are journaled desktop ops on the owning shard).
+//! Recovery requires the same shard count the journals were written
+//! with (it is recorded in `router.meta`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use cad_vfs::{Blob, Vfs, VfsPath};
@@ -87,15 +92,19 @@ use jcf::{
     ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
     ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
+use oms::persist::fnv64;
 use oms::{PMap, PmapKey};
 
+use crate::codec::{hex, unhex};
 use crate::engine::{Engine, RecoveryReport};
 use crate::error::{HybridError, HybridResult};
 use crate::events::{Event, MergeConflict};
 use crate::framework::{MirrorLocation, StagingMode, StandardFlow};
 use crate::future::FutureFeatures;
 use crate::history::{HistoryRing, RetentionPolicy, Workspace};
+use crate::lane::{lock, Lane, ServiceStats};
 use crate::ops::Op;
+use crate::session::{unexpected, SessionOps};
 use crate::snapshot::Snapshot;
 
 /// First virtual id. Everything below is a bootstrap-era local id,
@@ -112,13 +121,6 @@ const ROUTER_META: &str = "router.meta";
 /// Per-epoch record of where each shard's engine chain stood when the
 /// epoch was committed: `Engine::recover_at` targets at recovery time.
 const EPOCH_META: &str = "epoch.meta";
-
-/// Lock a mutex, riding through poisoning (same policy as
-/// [`Service`](crate::Service): a panicked writer must not take the
-/// whole service down).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The design objects `event` created implicitly (an activity's first
 /// output for a viewtype), shard-local ids in order of each object's
@@ -142,38 +144,12 @@ fn fresh_activity_objects(engine: &Engine, event: &Event) -> Vec<u64> {
     fresh
 }
 
-/// FNV-1a 64, the router's placement and fingerprint hash.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The pure placement function: which shard owns the partition named
 /// `name` when `nshards` shards exist. Stable across restarts (it is
 /// a function of the name alone), so submit-time routing needs no
 /// registry lookup.
 pub fn shard_of_name(name: &str, nshards: usize) -> usize {
     (fnv64(name.as_bytes()) % nshards.max(1) as u64) as usize
-}
-
-fn hex_encode(s: &str) -> String {
-    s.bytes().map(|b| format!("{b:02x}")).collect()
-}
-
-fn hex_decode(s: &str) -> Result<String, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex field {s:?}"));
-    }
-    let mut bytes = Vec::with_capacity(s.len() / 2);
-    for i in (0..s.len()).step_by(2) {
-        let b = u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad hex: {e}"))?;
-        bytes.push(b);
-    }
-    String::from_utf8(bytes).map_err(|e| format!("hex field is not utf-8: {e}"))
 }
 
 fn map_oms(e: oms::OmsError) -> HybridError {
@@ -878,33 +854,35 @@ impl ShardRouter {
 
     // -- event absorption (local → vid, with registration) -----------------
 
-    fn absorb_local(&mut self, seq: u64, shard: usize, part: Option<u32>, event: &Event) -> Event {
-        self.translate_outcome(seq, std::slice::from_ref(event), Some((shard, part)))
-    }
-
-    /// Registers virtual ids for the design objects an activity created
-    /// implicitly. They appear in no event — the engine numbers them
-    /// behind [`Event::ActivityRun`] — but the branch-workspace surface
-    /// addresses them across shard counts, so they need vids like any
-    /// created id. Slots continue after the activity's dov slots,
-    /// ordered by each object's first produced dov, which makes every
-    /// vid a pure function of the global seq.
-    fn register_activity_objects(
+    /// Absorbs a partition-local outcome. For an activity, `fresh`
+    /// (see [`fresh_activity_objects`]) lists the design objects it
+    /// created implicitly. They appear in no event — the engine numbers
+    /// them behind [`Event::ActivityRun`] — but the branch-workspace
+    /// surface addresses them across shard counts, so they get vids
+    /// like any created id. Slots continue after the activity's dov
+    /// slots, ordered by each object's first produced dov, which makes
+    /// every vid a pure function of the global seq.
+    fn absorb_local(
         &mut self,
         seq: u64,
+        shard: usize,
         part: Option<u32>,
-        first_slot: u64,
-        locals: &[u64],
-    ) {
-        let part = part.expect("activities run on an owning partition");
-        for (j, &local) in locals.iter().enumerate() {
-            let k = first_slot + j as u64;
-            assert!(k < VID_STRIDE, "one op created {k}+ ids");
-            self.register(
-                VIRT_BASE + seq * VID_STRIDE + k,
-                VirtEntry::Sharded { part, local },
-            );
+        event: &Event,
+        fresh: &[u64],
+    ) -> Event {
+        let virt = self.translate_outcome(seq, std::slice::from_ref(event), Some((shard, part)));
+        if let Event::ActivityRun { dovs } = event {
+            let part = part.expect("activities run on an owning partition");
+            for (j, &local) in fresh.iter().enumerate() {
+                let k = (dovs.len() + j) as u64;
+                assert!(k < VID_STRIDE, "one op created {k}+ ids");
+                self.register(
+                    VIRT_BASE + seq * VID_STRIDE + k,
+                    VirtEntry::Sharded { part, local },
+                );
+            }
         }
+        virt
     }
 
     fn absorb_bcast(&mut self, seq: u64, events: &[Event]) -> Event {
@@ -1122,7 +1100,7 @@ impl ShardRouter {
             lines.push(format!(
                 "part|idx={idx}|shard={}|name={}",
                 self.part_shard[idx],
-                hex_encode(name)
+                hex(name.as_bytes())
             ));
         }
         for (vid, entry) in self.forward.iter() {
@@ -1188,7 +1166,10 @@ impl ShardRouter {
                 "part" => {
                     let idx: u32 = num(&map, "idx")?;
                     let shard: u32 = num(&map, "shard")?;
-                    let name = hex_decode(map.get("name").ok_or("part line missing name")?)?;
+                    let raw = map.get("name").ok_or("part line missing name")?;
+                    let name = unhex(raw)
+                        .and_then(|bytes| String::from_utf8(bytes).ok())
+                        .ok_or_else(|| format!("bad hex name field {raw:?}"))?;
                     router.parts.insert(name, idx);
                     router.part_shard.insert(idx, shard);
                 }
@@ -1234,103 +1215,6 @@ impl ShardRouter {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-shard write lanes (group commit, leader/follower)
-// ---------------------------------------------------------------------------
-
-/// One submitted op waiting for its lane's batch to commit.
-struct Slot {
-    result: Mutex<Option<HybridResult<(u64, Event)>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: HybridResult<(u64, Event)>) {
-        *lock(&self.result) = Some(result);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> HybridResult<(u64, Event)> {
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A lane's batched apply queue; `draining` marks that a leader is
-/// inside the lane's engine critical section.
-struct Queue {
-    pending: Vec<(Op, RoutePlan, Arc<Slot>)>,
-    draining: bool,
-}
-
-/// One write lane: a partition engine plus its group-commit queue,
-/// published snapshot and busy-time counters.
-struct Lane {
-    engine: Mutex<Engine>,
-    queue: Mutex<Queue>,
-    /// The lane's published read view; replaced once per batch.
-    snapshot: Mutex<Arc<Snapshot>>,
-    /// Nanoseconds spent inside the engine critical section *applying*
-    /// ops (lock wait excluded) — the numerator of the E14
-    /// critical-path throughput model.
-    busy_ns: AtomicU64,
-    ops: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
-    writer_waits: AtomicU64,
-}
-
-impl Lane {
-    fn new(engine: Engine) -> Lane {
-        let snapshot = engine.snapshot();
-        Lane {
-            engine: Mutex::new(engine),
-            queue: Mutex::new(Queue {
-                pending: Vec::new(),
-                draining: false,
-            }),
-            snapshot: Mutex::new(snapshot),
-            busy_ns: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            writer_waits: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A point-in-time copy of one write lane's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ShardLaneStats {
-    /// Ops committed through this lane (including broadcast legs).
-    pub ops: u64,
-    /// Engine critical sections (group commits) led on this lane.
-    pub batches: u64,
-    /// Largest single group commit, in ops.
-    pub max_batch: u64,
-    /// Writers that parked as followers instead of leading a batch.
-    pub writer_waits: u64,
-    /// Nanoseconds spent applying ops inside the engine critical
-    /// section (lock wait excluded).
-    pub busy_ns: u64,
-}
-
 /// A point-in-time copy of the sharded service's counters.
 ///
 /// The E14 benchmark computes its critical-path throughput from
@@ -1339,8 +1223,9 @@ pub struct ShardLaneStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ShardStats {
-    /// Per-lane counters, indexed by shard.
-    pub shards: Vec<ShardLaneStats>,
+    /// Per-lane counters, indexed by shard. A broadcast counts once,
+    /// in lane 0's `ops`; its legs' apply time counts on every lane.
+    pub shards: Vec<ServiceStats>,
     /// Nanoseconds spent inside the router critical section (routing,
     /// sequence assignment, id translation; lock wait excluded). This
     /// work is serial across all lanes.
@@ -1354,7 +1239,8 @@ pub struct ShardStats {
 }
 
 struct ShardInner {
-    lanes: Vec<Lane>,
+    /// One group-commit lane per shard.
+    lanes: Vec<Lane<(Op, RoutePlan)>>,
     router: Mutex<ShardRouter>,
     /// Serial time inside the router lock (post-acquisition only).
     router_ns: AtomicU64,
@@ -1436,14 +1322,11 @@ impl ShardedService {
     }
 
     /// Ops currently queued (not yet committed) across all write
-    /// lanes. The network front-end samples this to decide when to
-    /// answer `busy` instead of accepting more work.
+    /// lanes — one relaxed load per lane. The network front-end
+    /// samples this to decide when to answer `busy` instead of
+    /// accepting more work.
     pub fn queue_depth(&self) -> u64 {
-        self.inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.queue).pending.len() as u64)
-            .sum()
+        self.inner.lanes.iter().map(Lane::queue_depth).sum()
     }
 
     /// Opens a session acting as `user`.
@@ -1473,88 +1356,30 @@ impl ShardedService {
     /// Replaces lane `i`'s published snapshot and bumps the view
     /// version.
     fn publish_lane(&self, i: usize, engine: &Engine) {
-        *lock(&self.inner.lanes[i].snapshot) = engine.snapshot();
+        self.inner.lanes[i].publish(engine);
         self.inner.version.fetch_add(1, Ordering::Release);
     }
 
     /// Submits one op in virtual-id form and blocks until its lane's
     /// batch commits. Returns the global commit sequence and the
     /// event, with every id translated back to virtual form.
+    ///
+    /// The op is planned once, then group-commits on its home lane;
+    /// after each batch the lane republishes and the fresh composed
+    /// view goes to the history ring before any submitter wakes.
     pub fn submit(&self, op: Op) -> HybridResult<(u64, Event)> {
         let plan = self
             .with_router(|r| r.plan(&op))
             .map_err(HybridError::ShardRouting)?;
         let home = plan.home();
-        let slot = Slot::new();
-        let lane = &self.inner.lanes[home];
-        let lead = {
-            let mut queue = lock(&lane.queue);
-            queue.pending.push((op, plan, Arc::clone(&slot)));
-            if queue.draining {
-                lane.writer_waits.fetch_add(1, Ordering::Relaxed);
-                false
-            } else {
-                queue.draining = true;
-                true
-            }
-        };
-        if lead {
-            self.drain(home);
-        }
-        slot.wait()
-    }
-
-    /// Leader path for one lane: repeatedly swap out the pending queue
-    /// and commit it as one batch, until no ops remain.
-    fn drain(&self, home: usize) {
-        let lane = &self.inner.lanes[home];
-        let mut engine = lock(&lane.engine);
-        loop {
-            let batch = {
-                let mut queue = lock(&lane.queue);
-                if queue.pending.is_empty() {
-                    queue.draining = false;
-                    break;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let size = batch.len() as u64;
-            lane.batches.fetch_add(1, Ordering::Relaxed);
-            lane.ops.fetch_add(size, Ordering::Relaxed);
-            lane.max_batch.fetch_max(size, Ordering::Relaxed);
-            let mut results = Vec::with_capacity(batch.len());
-            for (op, plan, slot) in batch {
-                results.push((slot, self.run_plan(home, &mut engine, &op, plan)));
-            }
-            // Republish before any submitter wakes (read-your-writes),
-            // then offer the fresh composed view to the history ring.
-            self.publish_lane(home, &engine);
-            self.observe_history();
-            for (slot, result) in results {
-                slot.fill(result);
-            }
-        }
-    }
-
-    /// Absorbs a local apply outcome, also registering vids for the
-    /// design objects an activity created implicitly (which no event
-    /// carries — see [`ShardRouter::register_activity_objects`]).
-    fn absorb_local_with_objects(
-        &self,
-        seq: u64,
-        shard: usize,
-        part: Option<u32>,
-        engine: &Engine,
-        event: &Event,
-    ) -> Event {
-        let fresh = fresh_activity_objects(engine, event);
-        self.with_router(|r| {
-            let virt = r.absorb_local(seq, shard, part, event);
-            if let Event::ActivityRun { dovs } = event {
-                r.register_activity_objects(seq, part, dovs.len() as u64, &fresh);
-            }
-            virt
-        })
+        self.inner.lanes[home].submit(
+            (op, plan),
+            |engine, (op, plan)| self.run_plan(home, engine, &op, plan),
+            |_| {
+                self.inner.version.fetch_add(1, Ordering::Release);
+                self.observe_history();
+            },
+        )
     }
 
     /// Executes one planned op while holding the home lane's engine.
@@ -1572,17 +1397,14 @@ impl ShardedService {
                 let (seq, translated) = self
                     .with_router(|r| r.pre_local(shard, op, None))
                     .map_err(HybridError::ShardRouting)?;
-                let start = Instant::now();
-                let result = engine.apply(translated);
-                lanes[shard]
-                    .busy_ns
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let result = lanes[shard].timed(|| engine.apply(translated));
                 // On failure the envelope record stays — replay
                 // reproduces the rejection in commit order.
                 let event = result?;
+                let fresh = fresh_activity_objects(engine, &event);
                 Ok((
                     seq,
-                    self.absorb_local_with_objects(seq, shard, part, engine, &event),
+                    self.with_router(|r| r.absorb_local(seq, shard, part, &event, &fresh)),
                 ))
             }
             RoutePlan::NewPart { shard, name } => {
@@ -1590,15 +1412,11 @@ impl ShardedService {
                 let (seq, translated, part, fresh) = self
                     .with_router(|r| r.pre_new_part(shard, &name, op, None))
                     .map_err(HybridError::ShardRouting)?;
-                let start = Instant::now();
-                let result = engine.apply(translated);
-                lanes[shard]
-                    .busy_ns
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let result = lanes[shard].timed(|| engine.apply(translated));
                 match result {
                     Ok(event) => Ok((
                         seq,
-                        self.with_router(|r| r.absorb_local(seq, shard, Some(part), &event)),
+                        self.with_router(|r| r.absorb_local(seq, shard, Some(part), &event, &[])),
                     )),
                     Err(e) => {
                         if fresh {
@@ -1619,19 +1437,11 @@ impl ShardedService {
                 // more than one engine, and it does so in ascending
                 // index order — no cycle with single-lane leaders.
                 let mut others: Vec<MutexGuard<'_, Engine>> =
-                    lanes[1..].iter().map(|lane| lock(&lane.engine)).collect();
+                    lanes[1..].iter().map(Lane::engine).collect();
                 let mut results = Vec::with_capacity(translated.len());
                 for (i, translated_op) in translated.into_iter().enumerate() {
-                    let start = Instant::now();
-                    let result = if i == 0 {
-                        engine.apply(translated_op)
-                    } else {
-                        others[i - 1].apply(translated_op)
-                    };
-                    lanes[i]
-                        .busy_ns
-                        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    results.push(result);
+                    let target: &mut Engine = if i == 0 { engine } else { &mut others[i - 1] };
+                    results.push(lanes[i].timed(|| target.apply(translated_op)));
                 }
                 for (i, guard) in others.iter().enumerate() {
                     self.publish_lane(i + 1, guard);
@@ -1686,8 +1496,7 @@ impl ShardedService {
     /// [`HybridError::SeqUnreachable`] (naming the closest retained
     /// boundary) when `seq` was never retained or has been evicted.
     pub fn at(&self, seq: u64) -> HybridResult<Arc<ShardView>> {
-        let history = lock(&self.inner.history);
-        history.get(seq).ok_or_else(|| history.unreachable(seq))
+        lock(&self.inner.history).get(seq)
     }
 
     /// Pins a retained seq so it survives ring eviction.
@@ -1711,18 +1520,7 @@ impl ShardedService {
 
     /// A copy of the service's concurrency counters.
     pub fn stats(&self) -> ShardStats {
-        let shards = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| ShardLaneStats {
-                ops: lane.ops.load(Ordering::Relaxed),
-                batches: lane.batches.load(Ordering::Relaxed),
-                max_batch: lane.max_batch.load(Ordering::Relaxed),
-                writer_waits: lane.writer_waits.load(Ordering::Relaxed),
-                busy_ns: lane.busy_ns.load(Ordering::Relaxed),
-            })
-            .collect();
+        let shards = self.inner.lanes.iter().map(Lane::stats).collect();
         let router = lock(&self.inner.router);
         ShardStats {
             shards,
@@ -1737,7 +1535,7 @@ impl ShardedService {
     /// outside the batching queue, republishing its snapshot after.
     /// For maintenance paths (fault arming, meter inspection).
     pub fn with_shard_engine<R>(&self, shard: usize, f: impl FnOnce(&mut Engine) -> R) -> R {
-        let mut engine = lock(&self.inner.lanes[shard].engine);
+        let mut engine = self.inner.lanes[shard].engine();
         let out = f(&mut engine);
         self.publish_lane(shard, &engine);
         out
@@ -1763,12 +1561,8 @@ impl ShardedService {
     /// same shard count, and per-owner-shard engine fingerprints
     /// across counts).
     pub fn state_fingerprint(&self) -> HybridResult<String> {
-        let guards: Vec<MutexGuard<'_, Engine>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.engine))
-            .collect();
+        let guards: Vec<MutexGuard<'_, Engine>> =
+            self.inner.lanes.iter().map(Lane::engine).collect();
         let mut joined = String::new();
         for (i, engine) in guards.iter().enumerate() {
             joined.push_str(&format!("shard-{i}={}\n", engine.state_fingerprint()?));
@@ -1875,12 +1669,8 @@ impl ShardedService {
     /// Locks every engine (ascending) and the router for the duration,
     /// so the images are mutually consistent.
     pub fn checkpoint(&self, fs: &mut Vfs, root: &VfsPath) -> HybridResult<()> {
-        let mut guards: Vec<MutexGuard<'_, Engine>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.engine))
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, Engine>> =
+            self.inner.lanes.iter().map(Lane::engine).collect();
         let mut router = lock(&self.inner.router);
         let next = router.epoch + 1;
         let dir = root.join(&format!("ck-{next}"))?;
@@ -1917,12 +1707,8 @@ impl ShardedService {
     ///
     /// Returns the number of files and directories removed.
     pub fn compact(&self, fs: &mut Vfs, root: &VfsPath) -> HybridResult<usize> {
-        let mut guards: Vec<MutexGuard<'_, Engine>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.engine))
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, Engine>> =
+            self.inner.lanes.iter().map(Lane::engine).collect();
         let router = lock(&self.inner.router);
         if router.epoch == 0 || !fs.exists(root) {
             return Ok(0);
@@ -2115,15 +1901,7 @@ impl ShardedService {
                                 .map_err(HybridError::Journal)?;
                             if let Ok(event) = engines[shard].apply(translated) {
                                 let fresh = fresh_activity_objects(&engines[shard], &event);
-                                router.absorb_local(seq, shard, part, &event);
-                                if let Event::ActivityRun { dovs } = &event {
-                                    router.register_activity_objects(
-                                        seq,
-                                        part,
-                                        dovs.len() as u64,
-                                        &fresh,
-                                    );
-                                }
+                                router.absorb_local(seq, shard, part, &event, &fresh);
                             }
                         }
                         RoutePlan::NewPart {
@@ -2136,7 +1914,7 @@ impl ShardedService {
                                 .map_err(HybridError::Journal)?;
                             match engines[planned].apply(translated) {
                                 Ok(event) => {
-                                    router.absorb_local(seq, planned, Some(part), &event);
+                                    router.absorb_local(seq, planned, Some(part), &event, &[]);
                                 }
                                 Err(_) => {
                                     if fresh {
@@ -2335,12 +2113,19 @@ pub struct ShardedSession {
     user: UserId,
 }
 
-impl ShardedSession {
-    /// The user this session acts as.
-    pub fn user(&self) -> UserId {
+impl SessionOps for ShardedSession {
+    fn user(&self) -> UserId {
         self.user
     }
 
+    /// Submits through [`ShardedService::submit`]: ids in and out are
+    /// virtual, the seq is the router's global commit sequence.
+    fn apply_seq(&self, op: Op) -> HybridResult<(u64, Event)> {
+        self.service.submit(op)
+    }
+}
+
+impl ShardedSession {
     /// The service behind this session.
     pub fn service(&self) -> &ShardedService {
         &self.service
@@ -2349,11 +2134,6 @@ impl ShardedSession {
     /// The current composed cross-shard read view.
     pub fn view(&self) -> Arc<ShardView> {
         self.service.view()
-    }
-
-    /// Submits one raw op; see [`ShardedService::submit`].
-    pub fn apply(&self, op: Op) -> HybridResult<(u64, Event)> {
-        self.service.submit(op)
     }
 
     /// This session's read handle on the retained composed view at
@@ -2386,178 +2166,30 @@ impl ShardedSession {
         Workspace::open_sharded(self.service.clone(), self.user, cv, seq, &base)
     }
 
-    /// Adds a user (broadcast). Admin-only names are enforced by the
-    /// engines, identically on every shard.
-    pub fn add_user(&self, name: &str, manager: bool) -> HybridResult<UserId> {
-        match self.apply(Op::AddUser {
-            name: name.into(),
-            manager,
-        })? {
-            (_, Event::UserAdded(id)) => Ok(id),
-            (_, other) => unreachable!("add-user produced {other:?}"),
-        }
-    }
-
-    /// Adds a team (broadcast).
-    pub fn add_team(&self, name: &str) -> HybridResult<TeamId> {
-        match self.apply(Op::AddTeam {
-            actor: self.user,
-            name: name.into(),
-        })? {
-            (_, Event::TeamAdded(id)) => Ok(id),
-            (_, other) => unreachable!("add-team produced {other:?}"),
-        }
-    }
-
-    /// Adds a member to a team (broadcast).
-    pub fn add_team_member(&self, team: TeamId, user: UserId) -> HybridResult<()> {
-        self.apply(Op::AddTeamMember {
-            actor: self.user,
-            team,
-            user,
-        })?;
-        Ok(())
-    }
-
-    /// Defines and freezes the standard three-tool flow (broadcast).
-    pub fn standard_flow(&self, name: &str) -> HybridResult<StandardFlow> {
-        match self.apply(Op::DefineStandardFlow { name: name.into() })? {
-            (_, Event::StandardFlowDefined(flow)) => Ok(flow),
-            (_, other) => unreachable!("define-standard-flow produced {other:?}"),
-        }
-    }
-
-    /// Creates a project — the op that *places* a partition on its
-    /// owning shard ([`shard_of_name`]).
-    pub fn create_project(&self, name: &str) -> HybridResult<ProjectId> {
-        match self.apply(Op::CreateProject { name: name.into() })? {
-            (_, Event::ProjectCreated(id)) => Ok(id),
-            (_, other) => unreachable!("create-project produced {other:?}"),
-        }
-    }
-
-    /// Creates a cell in a project (routed to the project's shard).
-    pub fn create_cell(&self, project: ProjectId, name: &str) -> HybridResult<CellId> {
-        match self.apply(Op::CreateCell {
-            project,
-            name: name.into(),
-        })? {
-            (_, Event::CellCreated(id)) => Ok(id),
-            (_, other) => unreachable!("create-cell produced {other:?}"),
-        }
-    }
-
-    /// Creates a cell version with its initial variant.
-    pub fn create_cell_version(
-        &self,
-        cell: CellId,
-        flow: FlowId,
-        team: TeamId,
-    ) -> HybridResult<(CellVersionId, VariantId)> {
-        match self.apply(Op::CreateCellVersion { cell, flow, team })? {
-            (_, Event::CellVersionCreated(cv, variant)) => Ok((cv, variant)),
-            (_, other) => unreachable!("create-cell-version produced {other:?}"),
-        }
-    }
-
-    /// Derives a named variant of a reserved cell version.
-    pub fn derive_variant(
-        &self,
-        cv: CellVersionId,
-        name: &str,
-        base: Option<VariantId>,
-    ) -> HybridResult<VariantId> {
-        match self.apply(Op::DeriveVariant {
-            user: self.user,
-            cv,
-            name: name.into(),
-            base,
-        })? {
-            (_, Event::VariantDerived(id)) => Ok(id),
-            (_, other) => unreachable!("derive-variant produced {other:?}"),
-        }
-    }
-
-    /// Reserves a cell version for this session's user.
-    pub fn reserve(&self, cv: CellVersionId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::Reserve {
-            user: self.user,
-            cv,
-        })?;
-        Ok(seq)
-    }
-
-    /// Publishes a reserved cell version.
-    pub fn publish(&self, cv: CellVersionId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::Publish {
-            user: self.user,
-            cv,
-        })?;
-        Ok(seq)
-    }
-
-    /// Declares a hierarchy child of a cell version. When the child
-    /// cell lives in a different partition this is a cross-shard
-    /// two-phase commit.
-    pub fn declare_comp_of(&self, cv: CellVersionId, child: CellId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::DeclareCompOf {
-            user: self.user,
-            cv,
-            child,
-        })?;
-        Ok(seq)
-    }
-
-    /// Marks two design object versions equivalent (cross-shard when
-    /// they live in different partitions).
-    pub fn mark_equivalent(&self, a: DovId, b: DovId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::MarkEquivalent { a, b })?;
-        Ok(seq)
-    }
-
-    /// Runs an activity with pre-computed tool outputs (the
-    /// replay-form op, which is what keeps sharded runs byte-identical
-    /// with the single-engine golden tables).
-    pub fn run_activity(
-        &self,
-        variant: VariantId,
-        activity: ActivityId,
-        override_pending: bool,
-        outputs: Vec<(String, Blob)>,
-    ) -> HybridResult<Vec<DovId>> {
-        match self.apply(Op::RunActivity {
-            user: self.user,
-            variant,
-            activity,
-            override_pending,
-            outputs,
-            session_error: None,
-        })? {
-            (_, Event::ActivityRun { dovs }) => Ok(dovs),
-            (_, other) => unreachable!("run-activity produced {other:?}"),
-        }
-    }
-
     /// Browses a design object version (journaled read; pays the
     /// staging copy path on the owning shard).
+    ///
+    /// # Errors
+    ///
+    /// Returns desktop visibility and routing errors.
     pub fn browse(&self, dov: DovId) -> HybridResult<Blob> {
-        match self.apply(Op::Browse {
-            user: self.user,
-            dov,
-        })? {
-            (_, Event::Browsed { data }) => Ok(data),
-            (_, other) => unreachable!("browse produced {other:?}"),
+        let user = self.user;
+        match self.apply(Op::Browse { user, dov })? {
+            Event::Browsed { data } => Ok(data),
+            other => Err(unexpected(&other)),
         }
     }
 
     /// Reads design data via the desktop (journaled read).
+    ///
+    /// # Errors
+    ///
+    /// Returns desktop visibility and routing errors.
     pub fn read_design_data(&self, dov: DovId) -> HybridResult<Blob> {
-        match self.apply(Op::ReadDesignData {
-            user: self.user,
-            dov,
-        })? {
-            (_, Event::DesignDataRead { data }) => Ok(data),
-            (_, other) => unreachable!("read-design-data produced {other:?}"),
+        let user = self.user;
+        match self.apply(Op::ReadDesignData { user, dov })? {
+            Event::DesignDataRead { data } => Ok(data),
+            other => Err(unexpected(&other)),
         }
     }
 }
@@ -2914,12 +2546,7 @@ impl ShardedService {
                 return Arc::clone(view);
             }
         }
-        let snaps: Vec<Arc<Snapshot>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| Arc::clone(&lock(&lane.snapshot)))
-            .collect();
+        let snaps: Vec<Arc<Snapshot>> = self.inner.lanes.iter().map(Lane::snapshot).collect();
         let router = {
             let router = lock(&self.inner.router);
             RouterView {
@@ -2994,7 +2621,11 @@ mod tests {
                 variant,
                 b.flow.enter_schematic,
                 false,
-                vec![("schematic".into(), NETLIST.to_vec().into())],
+                vec![crate::ToolOutput {
+                    viewtype: "schematic".into(),
+                    data: NETLIST.to_vec().into(),
+                }],
+                None,
             )
             .expect("schematic entry");
         (project, cell, cv, variant, dovs[0])
@@ -3007,6 +2638,27 @@ mod tests {
             assert_eq!(shard_of_name("alu16", n), shard_of_name("alu16", n));
         }
         assert_eq!(shard_of_name("anything", 1), 0);
+    }
+
+    /// Placement pinned to values computed before the router switched
+    /// to the shared `oms::persist::fnv64`: the same FNV-1a, so every
+    /// persisted partition stays on its shard.
+    #[test]
+    fn placement_matches_pinned_fnv1a_values() {
+        let pinned: [(&str, [usize; 4]); 8] = [
+            ("alu16", [0, 0, 0, 4]),
+            ("dsp", [0, 0, 0, 0]),
+            ("rom", [0, 1, 1, 1]),
+            ("fpu", [0, 0, 2, 2]),
+            ("p0", [0, 1, 1, 5]),
+            ("p2", [0, 1, 3, 7]),
+            ("mem", [0, 0, 2, 6]),
+            ("", [0, 1, 1, 5]),
+        ];
+        for (name, expected) in pinned {
+            let placed = [1, 2, 4, 8].map(|n| shard_of_name(name, n));
+            assert_eq!(placed, expected, "placement of {name:?}");
+        }
     }
 
     #[test]
@@ -3061,7 +2713,7 @@ mod tests {
                     alice.reserve(cv).expect("free version");
                     stream.push(
                         alice
-                            .apply(Op::RunActivity {
+                            .apply_seq(Op::RunActivity {
                                 user: b.designer,
                                 variant,
                                 activity: b.flow.enter_schematic,
@@ -3189,7 +2841,7 @@ mod tests {
         let next = recovered.open_session(b.designer);
         let before = b.service.stats().seq;
         let (seq, _) = next
-            .apply(Op::CreateProject { name: "fpu".into() })
+            .apply_seq(Op::CreateProject { name: "fpu".into() })
             .expect("post-recovery write");
         assert_eq!(seq, before);
         assert_eq!(

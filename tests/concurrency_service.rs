@@ -1,9 +1,12 @@
-//! Concurrency suite for the [`Service`] session front-end.
+//! Concurrency suite for the session front-ends.
 //!
 //! Exercises the sharded read/write discipline end to end: parallel
 //! writer sessions group-committing through the batched apply queue,
 //! parallel reader sessions on the published snapshot, event fan-out
 //! ordering, read-your-writes, and equivalence with a serial engine.
+//! One contract test runs the same writer workload through
+//! [`SessionOps`] over [`Service`] and over [`ShardedService`] at one
+//! and four shards: both front-ends share one group-commit lane.
 //!
 //! The suite must pass both under the default test harness and with
 //! `--test-threads=1` (CI runs both): nothing here depends on real
@@ -13,8 +16,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use jcf_fmcad::cad_vfs::Blob;
-use jcf_fmcad::hybrid::{Engine, Service, ToolOutput};
-use jcf_fmcad::jcf::DovId;
+use jcf_fmcad::hybrid::{Engine, Service, SessionOps, ShardedService, ToolOutput};
+use jcf_fmcad::jcf::{DovId, ProjectId};
 
 /// Boots a service with one published design object version readable
 /// by the admin, returning the dov.
@@ -243,4 +246,121 @@ fn sessions_over_many_threads_never_copy_design_data() {
         .collect();
     let copied: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
     assert_eq!(copied, 0, "snapshot reads must be zero-copy");
+}
+
+/// One write front-end under the shared contract.
+#[derive(Clone)]
+enum FrontEnd {
+    Single(Service),
+    Sharded(ShardedService),
+}
+
+/// Lane counters folded over every lane of a front-end.
+struct Totals {
+    ops: u64,
+    batches: u64,
+    max_batch: u64,
+    max_queue_depth: u64,
+}
+
+impl FrontEnd {
+    fn admin_session(&self) -> Box<dyn SessionOps + Send> {
+        match self {
+            FrontEnd::Single(s) => Box::new(s.open_session(s.admin())),
+            FrontEnd::Sharded(s) => Box::new(s.open_session(s.admin())),
+        }
+    }
+
+    fn totals(&self) -> Totals {
+        let lanes = match self {
+            FrontEnd::Single(s) => vec![s.stats()],
+            FrontEnd::Sharded(s) => s.stats().shards,
+        };
+        Totals {
+            ops: lanes.iter().map(|l| l.ops).sum(),
+            batches: lanes.iter().map(|l| l.batches).sum(),
+            max_batch: lanes.iter().map(|l| l.max_batch).max().unwrap_or(0),
+            max_queue_depth: lanes.iter().map(|l| l.max_queue_depth).max().unwrap_or(0),
+        }
+    }
+
+    fn queue_depth(&self) -> u64 {
+        match self {
+            FrontEnd::Single(s) => s.queue_depth(),
+            FrontEnd::Sharded(s) => s.queue_depth(),
+        }
+    }
+
+    /// Whether the currently published view holds `project`.
+    fn publishes(&self, project: ProjectId) -> bool {
+        match self {
+            FrontEnd::Single(s) => s.snapshot().library_of(project).is_ok(),
+            FrontEnd::Sharded(s) => {
+                let view = s.view();
+                view.router()
+                    .resolve(project.raw())
+                    .is_some_and(|(shard, local)| {
+                        view.shard(shard)
+                            .library_of(ProjectId::from_raw(local))
+                            .is_ok()
+                    })
+            }
+        }
+    }
+}
+
+#[test]
+fn both_front_ends_honour_one_group_commit_contract() {
+    const WRITERS: u64 = 8;
+    const PER_WRITER: u64 = 16;
+    let cases = [
+        (
+            "service",
+            FrontEnd::Single(Service::new(Engine::builder().build())),
+        ),
+        ("1-shard", FrontEnd::Sharded(ShardedService::new(1))),
+        ("4-shard", FrontEnd::Sharded(ShardedService::new(4))),
+    ];
+    for (name, front) in cases {
+        let threads: Vec<_> = (0..WRITERS)
+            .map(|i| {
+                let front = front.clone();
+                std::thread::spawn(move || {
+                    let session = front.admin_session();
+                    (0..PER_WRITER)
+                        .map(|j| {
+                            let project = session.create_project(&format!("c-{i}-{j}")).unwrap();
+                            // Read-your-writes: the commit is published
+                            // before the submitter wakes.
+                            assert!(front.publishes(project), "own write visible");
+                            project
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut projects = Vec::new();
+        for t in threads {
+            projects.extend(t.join().unwrap());
+        }
+        let submitted = WRITERS * PER_WRITER;
+        projects.sort();
+        projects.dedup();
+        assert_eq!(projects.len() as u64, submitted, "{name}: distinct ids");
+        let totals = front.totals();
+        assert_eq!(totals.ops, submitted, "{name}: every submit counted once");
+        assert!(
+            totals.batches >= 1 && totals.batches <= totals.ops,
+            "{name}"
+        );
+        assert!(
+            totals.max_batch >= 1 && totals.max_batch <= totals.ops,
+            "{name}"
+        );
+        assert!(
+            (1..=submitted).contains(&totals.max_queue_depth),
+            "{name}: the queue held an op"
+        );
+        assert_eq!(front.queue_depth(), 0, "{name}: the gauge drained");
+    }
 }

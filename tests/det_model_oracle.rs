@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 
 use cad_vfs::{Blob, SplitMix64, Vfs, VfsPath};
 use hybrid::{
-    Engine, Event, HybridError, Op, RetentionPolicy, Service, ShardedService, ShardedSession,
-    StagingMode, StandardFlow,
+    Engine, Event, HybridError, Op, RetentionPolicy, Service, SessionOps, ShardedService,
+    ShardedSession, StagingMode, StandardFlow,
 };
 use jcf::{CellId, CellVersionId, DesignObjectId, DovId, UserId, VariantId, ViewTypeId};
 use test_support::pick_index as pick;
@@ -805,7 +805,7 @@ fn shard_step(rig: &mut ShardRig, rng: &mut SplitMix64) -> String {
             _ => fresh_project(rig),
         },
     };
-    match rig.sessions[who].apply(op) {
+    match rig.sessions[who].apply_seq(op) {
         Ok((seq, event)) => {
             match &event {
                 Event::ProjectCreated(id) => rig.projects.push(*id),

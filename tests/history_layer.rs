@@ -19,8 +19,8 @@
 use cad_net::{Client, Server, ServerConfig, WireError};
 use cad_vfs::Blob;
 use hybrid::{
-    Engine, Event, HybridError, MergeConflict, Op, RetentionPolicy, Service, ShardedService,
-    ToolOutput,
+    Engine, Event, HybridError, MergeConflict, Op, RetentionPolicy, Service, SessionOps,
+    ShardedService, ToolOutput,
 };
 use jcf::{CellVersionId, DesignObjectId, DovId, TeamId, UserId, VariantId};
 
@@ -517,7 +517,11 @@ fn sharded_merge_transcript(shards: usize) -> Vec<String> {
                 variant,
                 flow.enter_schematic,
                 false,
-                vec![("schematic".into(), Blob::from(format!("netlist {i}")))],
+                vec![ToolOutput {
+                    viewtype: "schematic".into(),
+                    data: Blob::from(format!("netlist {i}")),
+                }],
+                None,
             )
             .expect("activity");
         let base_seq = alice.publish(cv).expect("publish");
@@ -536,7 +540,11 @@ fn sharded_merge_transcript(shards: usize) -> Vec<String> {
                         variant,
                         flow.enter_schematic,
                         false,
-                        vec![("schematic".into(), Blob::from(b"live v2".to_vec()))],
+                        vec![ToolOutput {
+                            viewtype: "schematic".into(),
+                            data: Blob::from(b"live v2".to_vec()),
+                        }],
+                        None,
                     )
                     .expect("live activity");
                 alice.publish(cv).expect("live publish");
@@ -605,7 +613,11 @@ fn sharded_time_travel_reads_the_past() {
             variant,
             flow.enter_schematic,
             false,
-            vec![("schematic".into(), Blob::from(b"netlist v1".to_vec()))],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: Blob::from(b"netlist v1".to_vec()),
+            }],
+            None,
         )
         .expect("activity");
     let published_seq = alice.publish(cv).expect("publish");
@@ -726,7 +738,11 @@ fn the_sharded_backend_answers_history_identically() {
             variant,
             flow.enter_schematic,
             false,
-            vec![("schematic".into(), Blob::from(b"netlist v1".to_vec()))],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: Blob::from(b"netlist v1".to_vec()),
+            }],
+            None,
         )
         .expect("activity");
     let published_seq = alice.publish(cv).expect("publish");

@@ -16,7 +16,7 @@
 
 use cad_vfs::{SplitMix64, Vfs, VfsPath};
 use design_data::{format, generate};
-use hybrid::{Engine, HybridError, ShardedService, StagingMode, ToolOutput};
+use hybrid::{Engine, HybridError, SessionOps, ShardedService, StagingMode, ToolOutput};
 use jcf::{CellId, CellVersionId, ProjectId, TeamId, UserId, VariantId};
 use test_support::pick;
 
@@ -323,7 +323,11 @@ fn run_sharded_schedule(shards: usize, mode: StagingMode) -> (Vfs, Vec<(u64, Str
                         variant,
                         flow.enter_schematic,
                         false,
-                        vec![("schematic".to_owned(), bytes.into())],
+                        vec![ToolOutput {
+                            viewtype: "schematic".to_owned(),
+                            data: bytes.into(),
+                        }],
+                        None,
                     );
                 }
             }
